@@ -43,7 +43,7 @@ def test_window_validation(benchmark, instance, schedule):
     the per-candidate cost inside H1/H2/OP1 after the rewrite."""
     actions = schedule.actions()
     start = max(0, len(actions) - 32)
-    snapshot = capture_states(instance, actions, [start])[start]
+    snapshot = capture_states(ArrayState(instance), actions, [start])[start]
     window = actions[start:]
     ok = benchmark(window_valid, snapshot, window)
     assert ok
@@ -72,7 +72,7 @@ def test_array_state_apply_throughput(benchmark, instance, schedule):
         return state
 
     state = benchmark(replay)
-    assert (state.placement == instance.x_new).all()
+    assert bytes(state.cells) == instance.x_new.astype(np.int8).tobytes()
 
 
 def test_nearest_query_system_state(benchmark, instance):

@@ -78,21 +78,22 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
         actions = schedule.actions()
+        origin = ArrayState(instance)
         for _ in range(self.max_passes):
             if count_dummies(instance, actions) == 0:
                 break
-            actions, progressed = self._sweep(instance, actions)
+            actions, progressed = self._sweep(origin, actions)
             if not progressed:
                 break
         return Schedule(actions)
 
     def _sweep(
-        self, instance: RtspInstance, actions: List[Action]
+        self, origin: ArrayState, actions: List[Action]
     ) -> Tuple[List[Action], bool]:
         """One left-to-right pass attempting each dummy transfer once."""
         progressed = False
         attempted: Set[Tuple[int, int]] = set()
-        dummy = instance.dummy
+        dummy = origin.views.dummy
         while True:
             target_pos = None
             for idx, a in enumerate(actions):
@@ -106,7 +107,7 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
                     break
             if target_pos is None:
                 return actions, progressed
-            result = self._restore(instance, actions, target_pos, self.max_depth)
+            result = self._restore(origin, actions, target_pos, self.max_depth)
             if result is not None:
                 actions = result
                 progressed = True
@@ -114,12 +115,15 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
     # ------------------------------------------------------------------
     def _restore(
         self,
-        instance: RtspInstance,
+        origin: ArrayState,
         actions: List[Action],
         p: int,
         depth: int,
     ) -> Optional[List[Action]]:
         """Try to eliminate the dummy transfer at ``p``.
+
+        ``origin`` is the state before position 0 (see
+        :func:`~repro.core.optimizers.common.capture_states`).
 
         Returns a complete rewritten action list whose dummy count is
         strictly lower than the input's, or ``None``.
@@ -132,7 +136,7 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
         ]
         if not destinations:
             return None
-        states = capture_states(instance, actions, destinations)
+        states = capture_states(origin, actions, destinations)
         for q in destinations:
             deletion = actions[q]
             assert isinstance(deletion, Delete)
@@ -145,13 +149,11 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
             window = [restored] + list(actions[q:p])
             if window_valid(state_q, window):
                 return list(actions[:q]) + window + list(actions[p + 1 :])
-            result = self._hoist_standalone(
-                instance, actions, p, q, restored, state_q
-            )
+            result = self._hoist_standalone(actions, p, q, restored, state_q)
             if result is not None:
                 return result
             result = self._move_pairs(
-                instance, actions, p, q, restored, state_q, depth
+                origin, actions, p, q, restored, state_q, depth
             )
             if result is not None:
                 return result
@@ -160,7 +162,6 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
     # ------------------------------------------------------------------
     def _hoist_standalone(
         self,
-        instance: RtspInstance,
         actions: List[Action],
         p: int,
         q: int,
@@ -190,7 +191,7 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
 
     def _move_pairs(
         self,
-        instance: RtspInstance,
+        origin: ArrayState,
         actions: List[Action],
         p: int,
         q: int,
@@ -230,7 +231,7 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
             # Recursive variant (paper's H''): hoist the deletion, restore
             # our transfer, and leave the feeding transfer in place as a
             # *dummy* transfer to be restored recursively.
-            converted = Transfer(feeding.target, feeding.obj, instance.dummy)
+            converted = Transfer(feeding.target, feeding.obj, origin.views.dummy)
             window2 = [actions[r], restored] + [
                 (converted if x == b else actions[x])
                 for x in range(q, p)
@@ -243,7 +244,7 @@ class H1MoveDummyTransfers(ScheduleOptimizer):
             # at q and only positions after b changed (r > b always).
             pos = b + 2
             assert staged[pos] is converted
-            deeper = self._restore(instance, staged, pos, depth - 1)
+            deeper = self._restore(origin, staged, pos, depth - 1)
             if deeper is not None:
                 return deeper
         return None

@@ -76,20 +76,21 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
         actions = schedule.actions()
+        origin = ArrayState(instance)
         for _ in range(self.max_passes):
             if count_dummies(instance, actions) == 0:
                 break
-            actions, progressed = self._sweep(instance, actions)
+            actions, progressed = self._sweep(origin, actions)
             if not progressed:
                 break
         return Schedule(actions)
 
     def _sweep(
-        self, instance: RtspInstance, actions: List[Action]
+        self, origin: ArrayState, actions: List[Action]
     ) -> Tuple[List[Action], bool]:
         progressed = False
         attempted: Set[Tuple[int, int]] = set()
-        dummy = instance.dummy
+        dummy = origin.views.dummy
         while True:
             target_pos = None
             for idx, a in enumerate(actions):
@@ -103,14 +104,14 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
                     break
             if target_pos is None:
                 return actions, progressed
-            result = self._restore(instance, actions, target_pos)
+            result = self._restore(origin, actions, target_pos)
             if result is not None:
                 actions = result
                 progressed = True
 
     # ------------------------------------------------------------------
     def _restore(
-        self, instance: RtspInstance, actions: List[Action], p: int
+        self, origin: ArrayState, actions: List[Action], p: int
     ) -> Optional[List[Action]]:
         t = actions[p]
         assert isinstance(t, Transfer)
@@ -120,20 +121,20 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
         ]
         if not destinations:
             return None
-        states = capture_states(instance, actions, destinations)
+        states = capture_states(origin, actions, destinations)
         for q in destinations:
             deletion = actions[q]
             assert isinstance(deletion, Delete)
             source = deletion.server  # the paper's S_i''
             state_q = states[q]
-            stages = self._stage_candidates(instance, i_prime, k, source, state_q)
+            stages = self._stage_candidates(i_prime, k, source, state_q)
             result = self._stage_on_free_server(
-                instance, actions, p, q, i_prime, k, source, state_q, stages
+                actions, p, q, i_prime, k, source, state_q, stages
             )
             if result is not None:
                 return result
             result = self._stage_with_space_making(
-                instance, actions, p, q, i_prime, k, source, state_q, stages
+                actions, p, q, i_prime, k, source, state_q, stages
             )
             if result is not None:
                 return result
@@ -142,7 +143,6 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
     # ------------------------------------------------------------------
     def _stage_candidates(
         self,
-        instance: RtspInstance,
         i_prime: int,
         k: int,
         source: int,
@@ -157,18 +157,18 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
         tried first (the paper picks any server with space; ordering by
         cost is a pure refinement).
         """
-        costs = instance.costs
+        row = state_q.views.row
+        relay = row(i_prime)
         eligible = [
             i
-            for i in range(instance.num_servers)
+            for i in range(state_q.views.dummy)  # real servers precede it
             if i != source and i != i_prime and not state_q.holds(i, k)
         ]
-        eligible.sort(key=lambda i: (costs[i, source] + costs[i_prime, i], i))
+        eligible.sort(key=lambda i: (row(i)[source] + relay[i], i))
         return eligible[: self.max_stage_candidates]
 
     def _stage_on_free_server(
         self,
-        instance: RtspInstance,
         actions: List[Action],
         p: int,
         q: int,
@@ -178,7 +178,7 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
         state_q: ArrayState,
         stages: List[int],
     ) -> Optional[List[Action]]:
-        size = float(instance.sizes[k])
+        size = state_q.views.sizes[k]
         for i in stages:
             if state_q.free[i] < size:
                 continue
@@ -193,7 +193,6 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
 
     def _stage_with_space_making(
         self,
-        instance: RtspInstance,
         actions: List[Action],
         p: int,
         q: int,
@@ -204,11 +203,11 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
         stages: List[int],
     ) -> Optional[List[Action]]:
         """Hoist later deletions at a candidate server to make room."""
-        size = float(instance.sizes[k])
-        sizes = instance.sizes
+        sizes = state_q.views.sizes
+        size = sizes[k]
         n = len(actions)
         for i in stages:
-            deficit = size - float(state_q.free[i])
+            deficit = size - state_q.free[i]
             if deficit <= 0:
                 continue  # already tried by _stage_on_free_server
             later_dels = [
@@ -222,7 +221,7 @@ class H2CreateSuperfluousReplicas(ScheduleOptimizer):
             chosen: List[int] = []
             for idx in later_dels:
                 chosen.append(idx)
-                freed += float(sizes[actions[idx].obj])
+                freed += sizes[actions[idx].obj]
                 if freed < deficit:
                     continue
                 removed = set(chosen)

@@ -38,12 +38,13 @@ class NearestSourceRefinement(ScheduleOptimizer):
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
         state = ArrayState(instance)
-        costs = instance.costs
+        row = state.views.row
         out: List[Action] = []
         for action in schedule:
             if isinstance(action, Transfer):
                 best = state.nearest(action.target, action.obj)
-                if costs[action.target, best] < costs[action.target, action.source]:
+                costs = row(action.target)
+                if costs[best] < costs[action.source]:
                     action = action.with_source(best)
             state.apply(action)
             out.append(action)

@@ -70,9 +70,10 @@ class OP1ReorderTransfers(ScheduleOptimizer):
         self, instance: RtspInstance, schedule: Schedule, rng=None
     ) -> Schedule:
         actions = schedule.actions()
+        origin = ArrayState(instance)
         rounds = 0
         while rounds < self.max_rounds:
-            result = self._scan(instance, actions)
+            result = self._scan(origin, actions)
             if result is None:
                 break
             actions = result
@@ -81,7 +82,7 @@ class OP1ReorderTransfers(ScheduleOptimizer):
 
     # ------------------------------------------------------------------
     def _scan(
-        self, instance: RtspInstance, actions: List[Action]
+        self, origin: ArrayState, actions: List[Action]
     ) -> Optional[List[Action]]:
         """One scan; returns the improved action list or ``None``.
 
@@ -92,7 +93,7 @@ class OP1ReorderTransfers(ScheduleOptimizer):
         """
         transfer_pos = _transfer_positions_by_object(actions)
         cell_deleted = _deleted_cells(actions)
-        state = ArrayState(instance)
+        state = origin.copy()
         p1 = 0
         improved = False
         while p1 < len(actions):
@@ -101,7 +102,7 @@ class OP1ReorderTransfers(ScheduleOptimizer):
                 p2 = _next_after(transfer_pos.get(a1.obj, ()), p1)
                 if p2 is not None:
                     cand = self._consider(
-                        instance, actions, state, transfer_pos, cell_deleted, p1, p2
+                        actions, state, transfer_pos, cell_deleted, p1, p2
                     )
                     if cand is not None:
                         actions = cand
@@ -120,7 +121,6 @@ class OP1ReorderTransfers(ScheduleOptimizer):
     # ------------------------------------------------------------------
     def _consider(
         self,
-        instance: RtspInstance,
         actions: List[Action],
         state: ArrayState,
         transfer_pos: Dict[int, List[int]],
@@ -136,7 +136,9 @@ class OP1ReorderTransfers(ScheduleOptimizer):
         moved = actions[p2]
         assert isinstance(moved, Transfer)
         i, k = moved.target, moved.obj
-        costs, size = instance.costs, float(instance.sizes[k])
+        views = state.views
+        row, size = views.row, views.sizes[k]
+        row_i = row(i)
         positions_k = transfer_pos.get(k, ())
 
         new_source = state.nearest(i, k)
@@ -144,15 +146,14 @@ class OP1ReorderTransfers(ScheduleOptimizer):
         # best-case re-pointing savings for every other transfer of the
         # object at or after p1. Skip candidate construction (the
         # expensive part) when even the optimistic total is non-positive.
-        optimistic = size * (costs[i, moved.source] - costs[i, new_source])
+        optimistic = size * (row_i[moved.source] - row_i[new_source])
         for idx in positions_k:
             if idx < p1 or idx == p2:
                 continue
             t = actions[idx]
             if t.target != i:
-                optimistic += max(
-                    0.0, size * (costs[t.target, t.source] - costs[t.target, i])
-                )
+                row_t = row(t.target)
+                optimistic += max(0.0, size * (row_t[t.source] - row_t[i]))
         if optimistic <= COST_EPS:
             return None
 
@@ -179,19 +180,16 @@ class OP1ReorderTransfers(ScheduleOptimizer):
             # --- build the rewrite window [p1, p2] -----------------------
             window: List[Action] = [actions[idx] for idx in hoisted]
             window.append(replacement)
-            delta = size * (costs[i, new_source] - costs[i, moved.source])
+            delta = size * (row_i[new_source] - row_i[moved.source])
             for idx in range(p1, p2 + 1):
                 if idx in removed:
                     continue
                 a = actions[idx]
-                if (
-                    isinstance(a, Transfer)
-                    and a.obj == k
-                    and a.target != i
-                    and costs[a.target, i] < costs[a.target, a.source]
-                ):
-                    delta += size * (costs[a.target, i] - costs[a.target, a.source])
-                    a = a.with_source(i)
+                if isinstance(a, Transfer) and a.obj == k and a.target != i:
+                    row_a = row(a.target)
+                    if row_a[i] < row_a[a.source]:
+                        delta += size * (row_a[i] - row_a[a.source])
+                        a = a.with_source(i)
                 window.append(a)
 
             repaired = window_replay_with_repairs(state, window)
@@ -199,9 +197,7 @@ class OP1ReorderTransfers(ScheduleOptimizer):
                 continue
             # Repair penalties (case iii): cost difference of the window
             # after source re-pointing repairs.
-            delta += actions_cost(instance, repaired) - actions_cost(
-                instance, window
-            )
+            delta += actions_cost(views, repaired) - actions_cost(views, window)
 
             # --- tail re-points (transfers of k after the window) --------
             tail_repoints: List[int] = []
@@ -210,10 +206,11 @@ class OP1ReorderTransfers(ScheduleOptimizer):
                     if idx <= p2:
                         continue
                     t = actions[idx]
-                    if t.target != i and costs[t.target, i] < costs[t.target, t.source]:
-                        delta += size * (
-                            costs[t.target, i] - costs[t.target, t.source]
-                        )
+                    if t.target == i:
+                        continue
+                    row_t = row(t.target)
+                    if row_t[i] < row_t[t.source]:
+                        delta += size * (row_t[i] - row_t[t.source])
                         tail_repoints.append(idx)
 
             if delta >= -COST_EPS:

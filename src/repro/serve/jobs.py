@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.obs.events import EventStream
 from repro.util.errors import RtspError
@@ -89,7 +89,8 @@ class Job:
     ) -> None:
         self.id = job_id
         self.kind = kind
-        self.fn = fn
+        #: The work; released (``None``) once the job is terminal.
+        self.fn: Optional[Callable[["JobContext"], Any]] = fn
         self.timeout_seconds = timeout_seconds
         self.state = PENDING
         self.result: Any = None
@@ -331,6 +332,16 @@ class JobQueue:
     ) -> None:
         job.state = state
         job.error = error
+        # The history keeps up to ``max_history`` terminal jobs for their
+        # snapshots, which report an error by type and message only. Drop
+        # what else would pin the request (instance and all): the closure
+        # that captured it, and the tracebacks whose frames hold it.
+        job.fn = None
+        seen: Set[int] = set()
+        while error is not None and id(error) not in seen:
+            seen.add(id(error))
+            error.__traceback__ = None
+            error = error.__cause__ or error.__context__
         job.done_event.set()
 
     def _worker(self) -> None:
@@ -358,6 +369,10 @@ class JobQueue:
                 job.state = RUNNING
             job.record("job.started")
             ctx = JobContext(job)
+            # Only pending jobs reach here, and only terminal ones lose
+            # their work. Called through the attribute, so this frame
+            # never holds the closure.
+            assert job.fn is not None
             try:
                 result = job.fn(ctx)
                 ctx.check()  # a cancel/timeout that landed at the finish line

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.optimizers.common import (
     ArrayState,
+    ReplayViews,
     actions_cost,
     blocking_transfer,
     capture_states,
@@ -30,8 +31,8 @@ def inst():
 
 class TestArrayState:
     def test_mirrors_system_state_semantics(self, inst):
-        """ArrayState and SystemState agree on validity for a batch of
-        random action attempts."""
+        """ArrayState (and window_valid) and SystemState agree on validity
+        for a batch of random action attempts."""
         rng = np.random.default_rng(0)
         heavy = SystemState(inst)
         light = ArrayState(inst)
@@ -48,6 +49,8 @@ class TestArrayState:
         for _ in range(50):
             a = candidates[int(rng.integers(0, len(candidates)))]
             assert light.is_valid(a) == heavy.is_valid(a), str(a)
+            # the inlined replay loop agrees on a one-action window
+            assert window_valid(light, [a]) == heavy.is_valid(a), str(a)
             if light.is_valid(a):
                 light.apply(a)
                 heavy.apply(a)
@@ -76,17 +79,84 @@ class TestArrayState:
         assert s.holds(2, 0)
 
 
+class TestNearestTieRule:
+    """``ArrayState.nearest`` against ``SystemState.nearest`` on ties.
+
+    Every link costs 1, 2 or 3 and the dummy costs 3, so equal-cost
+    holders and holders priced exactly like the dummy are everywhere.
+    Object 0 is held by servers 0-19 (a dense column, more than 16
+    holders), object 1 by servers 2, 5 and 9, object 2 by server 4 alone,
+    and object 3 by nobody.
+    """
+
+    M = 24
+    DUMMY_COST = 3.0
+
+    @pytest.fixture
+    def tie_inst(self):
+        m = self.M
+        costs = np.full((m + 1, m + 1), self.DUMMY_COST)
+        for i in range(m):
+            for j in range(m):
+                costs[i, j] = 0.0 if i == j else 1.0 + (i * 7 + j * 3) % 3
+        # Target 21: every real server costs exactly the dummy's price.
+        costs[21, :m] = self.DUMMY_COST
+        # Target 22: servers 5 and 9 tie for the cheapest link.
+        costs[22, :m] = 2.0
+        costs[22, [5, 9]] = 1.0
+        costs[22, 22] = 0.0
+        x_old = np.zeros((m, 4), dtype=np.int8)
+        x_old[:20, 0] = 1
+        x_old[[2, 5, 9], 1] = 1
+        x_old[4, 2] = 1
+        return RtspInstance.create(
+            [1.0] * 4, [10.0] * m, costs, x_old, x_old.copy()
+        )
+
+    def test_holder_at_dummy_price_beats_dummy(self, tie_inst):
+        light = ArrayState(tie_inst)
+        assert light.nearest(21, 2) == 4  # sparse: the lone holder
+        assert light.nearest(21, 1) == 2  # sparse: lowest of three
+        assert light.nearest(21, 0) == 0  # dense: lowest of twenty
+        assert light.nearest(21, 3) == tie_inst.dummy  # no holder at all
+
+    def test_lowest_index_wins_among_equal_costs(self, tie_inst):
+        light = ArrayState(tie_inst)
+        assert light.nearest(22, 1) == 5  # sparse: 5 and 9 tie
+        assert light.nearest(22, 0) == 5  # dense: 5 and 9 tie
+
+    def test_target_and_exclude_are_skipped(self, tie_inst):
+        light = ArrayState(tie_inst)
+        assert light.nearest(21, 2, exclude=4) == tie_inst.dummy
+        assert light.nearest(21, 1, exclude=2) == 5
+        assert light.nearest(22, 1, exclude=5) == 9
+        assert light.nearest(22, 0, exclude=5) == 9
+        assert light.nearest(5, 1) != 5
+        assert light.nearest(0, 0) != 0
+
+    def test_matches_system_state_everywhere(self, tie_inst):
+        light = ArrayState(tie_inst)
+        heavy = SystemState(tie_inst)
+        for target in range(self.M):
+            for obj in range(4):
+                for exclude in range(-1, self.M):
+                    banned = () if exclude < 0 else (exclude,)
+                    assert light.nearest(target, obj, exclude) == heavy.nearest(
+                        target, obj, banned
+                    ), (target, obj, exclude)
+
+
 class TestCaptureStates:
     def test_snapshots_before_positions(self, inst):
         actions = [Delete(0, 0), Transfer(2, 0, inst.dummy), Delete(2, 0)]
-        snaps = capture_states(inst, actions, [0, 1, 2])
+        snaps = capture_states(ArrayState(inst), actions, [0, 1, 2])
         assert snaps[0].holds(0, 0)
         assert not snaps[1].holds(0, 0)
         assert snaps[2].holds(2, 0)
 
     def test_duplicate_positions_ok(self, inst):
         actions = [Delete(0, 0)]
-        snaps = capture_states(inst, actions, [0, 0, 1])
+        snaps = capture_states(ArrayState(inst), actions, [0, 0, 1])
         assert set(snaps) == {0, 1}
 
 
@@ -121,7 +191,7 @@ class TestWindowReplay:
 class TestAccounting:
     def test_actions_cost(self, inst):
         actions = [Transfer(2, 0, 0), Delete(0, 0), Transfer(0, 1, 1)]
-        assert actions_cost(inst, actions) == 2.0 + 1.0
+        assert actions_cost(ReplayViews(inst), actions) == 2.0 + 1.0
 
     def test_count_dummies(self, inst):
         actions = [Transfer(2, 0, inst.dummy), Transfer(0, 1, 1)]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -35,6 +37,26 @@ class Blocker:
             ctx.check()
         ctx.check()
         return "released"
+
+
+class Captured:
+    """Stands in for the request a job's closure captures (its instance)."""
+
+
+def submit_capturing(queue, body, **kwargs):
+    """Submit ``body(ctx, captured)`` over a fresh :class:`Captured`.
+
+    Returns the job and a weak reference to the captured object; the
+    job's closure holds the only strong reference.
+    """
+    captured = Captured()
+    job = queue.submit(lambda ctx: body(ctx, captured), **kwargs)
+    return job, weakref.ref(captured)
+
+
+def collected(ref) -> bool:
+    gc.collect()
+    return ref() is None
 
 
 class TestBasics:
@@ -255,6 +277,75 @@ class TestCapacity:
             assert queue.get(jobs[-1].id).state == DONE
             with pytest.raises(JobNotFound):
                 queue.get(jobs[0].id)
+
+
+class TestFinishedJobsReleaseTheirWork:
+    """A terminal job in the history must not pin its request alive."""
+
+    def test_done(self):
+        with JobQueue(workers=1) as queue:
+            job, ref = submit_capturing(queue, lambda ctx, c: "ok")
+            assert job.wait(5.0) and job.state == DONE
+            assert job.result == "ok"
+            assert collected(ref)
+
+    def test_failed(self):
+        def boom(ctx, captured):
+            raise ValueError("planned failure")
+
+        with JobQueue(workers=1) as queue:
+            job, ref = submit_capturing(queue, boom)
+            assert job.wait(5.0) and job.state == FAILED
+            assert isinstance(job.error, ValueError)
+            assert collected(ref)
+
+    def test_timed_out_while_running(self):
+        def spin(ctx, captured):
+            while True:
+                ctx.check()
+                time.sleep(0.005)
+
+        with JobQueue(workers=1) as queue:
+            job, ref = submit_capturing(queue, spin, timeout_seconds=0.05)
+            assert job.wait(5.0) and job.state == TIMEOUT
+            assert collected(ref)
+
+    def test_cancelled_while_pending(self):
+        blocker = Blocker()
+        with JobQueue(workers=1) as queue:
+            queue.submit(blocker)
+            assert blocker.entered.wait(5.0)
+            job, ref = submit_capturing(queue, lambda ctx, c: "never")
+            assert queue.cancel(job.id) and job.state == CANCELLED
+            assert collected(ref)
+            blocker.release.set()
+
+    def test_expired_while_pending(self):
+        blocker = Blocker()
+        with JobQueue(workers=1) as queue:
+            running = queue.submit(blocker)
+            assert blocker.entered.wait(5.0)
+            job, ref = submit_capturing(
+                queue, lambda ctx, c: "never", timeout_seconds=0.02
+            )
+            time.sleep(0.05)
+            blocker.release.set()
+            assert running.wait(5.0)
+            assert job.wait(5.0) and job.state == TIMEOUT
+            assert collected(ref)
+
+    def test_shut_down_while_pending(self):
+        blocker = Blocker()
+        queue = JobQueue(workers=1)
+        running = queue.submit(blocker)
+        assert blocker.entered.wait(5.0)
+        job, ref = submit_capturing(queue, lambda ctx, c: "never")
+        queue.shutdown(wait=False)
+        assert job.state == CANCELLED
+        assert collected(ref)
+        blocker.release.set()
+        assert running.wait(5.0)
+        queue.shutdown(wait=True)
 
 
 class TestProgressEvents:
