@@ -5,7 +5,7 @@ instruments once and skip them with a single ``is None`` check), but
 this script puts a number on it. Three planning tiers are timed —
 
 * ``direct``  — the reference pipeline on a paper-sized instance;
-* ``flat``    — the array-core builder on a scale-bench medium
+* ``builder`` — the GOLCF builder alone on a scale-bench medium
   instance (100x1000);
 * ``sharded`` — ``plan_sharded`` over a shard-bench medium composed
   instance (8 blocks of 25x250);
@@ -38,7 +38,7 @@ committed baseline.
 Usage::
 
     PYTHONPATH=src python benchmarks/obs_overhead.py \
-        [--tiers direct,flat,sharded] [--rounds 7] \
+        [--tiers direct,builder,sharded] [--rounds 7] \
         [--out benchmarks/results/BENCH_obs.json]
 """
 
@@ -52,8 +52,8 @@ import time
 
 from scale_bench import synth_instance
 
+from repro.core.base import get_builder
 from repro.core.pipeline import build_pipeline
-from repro.flat import flat_build
 from repro.obs import (
     EventStream,
     MetricsRegistry,
@@ -82,9 +82,10 @@ def _tier_direct(seed):
     }
 
 
-def _tier_flat(seed):
+def _tier_builder(seed):
     instance = synth_instance(100, 1000, seed=seed)
-    return lambda: flat_build("GOLCF", instance, rng=seed), {
+    builder = get_builder("GOLCF")
+    return lambda: builder.build(instance, rng=seed), {
         "num_servers": 100, "num_objects": 1000, "builder": "GOLCF",
     }
 
@@ -104,7 +105,7 @@ def _tier_sharded(seed):
 
 TIERS = {
     "direct": (_tier_direct, 7),
-    "flat": (_tier_flat, 5),
+    "builder": (_tier_builder, 5),
     "sharded": (_tier_sharded, 3),
 }
 
@@ -155,7 +156,7 @@ def measure_tier(name: str, rounds: int, seed: int = 0):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tiers", default="direct,flat,sharded",
+    parser.add_argument("--tiers", default="direct,builder,sharded",
                         help="comma-separated subset of "
                              + ",".join(TIERS))
     parser.add_argument("--rounds", type=int, default=0,

@@ -1,4 +1,4 @@
-"""Scaling-law benchmark: flat core vs reference across instance sizes.
+"""Scaling-law benchmark: every builder across instance sizes.
 
 Standalone (no pytest-benchmark dependency) so CI's scale-smoke job and
 local runs share one entry point::
@@ -6,12 +6,12 @@ local runs share one entry point::
     PYTHONPATH=src python benchmarks/scale_bench.py --tier medium \
         --out benchmarks/results/BENCH_scale_current.json
 
-Tiers: small (20x100), medium (100x1000), large (1000x10000 — the
-acceptance target: GOLCF must finish in single-digit seconds on the
-flat core). Each builder is timed on both cores over the same synthetic
-instance; the schedules are asserted byte-identical and (below the
-large tier) replay-validated, so the benchmark doubles as a
-differential check at scales the unit suites never touch.
+Tiers: small (20x100), medium (100x1000), large (1000x10000 — GOLCF must
+finish in single-digit seconds). Each builder is timed on the same
+synthetic instance; below the large tier every schedule is also checked
+by the strict invariant oracle, so the benchmark doubles as a validity
+check of the builders' unvalidated fast path at scales the unit suites
+never touch.
 
 Output follows the ``benchmarks/conftest.py`` JSON shape
 (``{"benchmarks": [{"name", "stats": {"mean", ...}}]}``) so
@@ -29,8 +29,8 @@ import time
 
 import numpy as np
 
-from repro.core.base import get_builder
-from repro.flat import flat_build, flat_builder_names, flat_mode_override
+from repro.core.base import available_builders, get_builder
+from repro.exact.validate import check_invariants
 from repro.model.instance import RtspInstance
 
 #: tier name -> (num_servers, num_objects, timing rounds)
@@ -40,7 +40,7 @@ TIERS = {
     "large": (1000, 10000, 2),
 }
 
-BUILDERS = tuple(flat_builder_names())
+BUILDERS = tuple(available_builders())
 
 
 def synth_instance(num_servers: int, num_objects: int, seed: int = 0):
@@ -78,46 +78,37 @@ def _time(fn, rounds: int):
 
 
 def run_tier(tier: str, seed: int, verbose: bool = True):
-    """Benchmark every builder on both cores for one tier."""
+    """Benchmark every builder for one tier."""
     m, n, rounds = TIERS[tier]
     inst = synth_instance(m, n, seed=seed)
     records = []
     for name in BUILDERS:
-        with flat_mode_override("off"):
-            t_ref, ref = _time(
-                lambda: get_builder(name).build(inst, rng=seed), rounds
-            )
-        t_flat, flat = _time(lambda: flat_build(name, inst, rng=seed), rounds)
-        if ref.actions() != flat.actions():
-            raise AssertionError(
-                f"flat/reference divergence: tier={tier} builder={name}"
-            )
+        elapsed, schedule = _time(
+            lambda: get_builder(name).build(inst, rng=seed), rounds
+        )
         if tier != "large":
-            report = flat.validate(inst)
+            report = check_invariants(inst, schedule)
             if not report.ok:
                 raise AssertionError(
                     f"invalid schedule: tier={tier} builder={name}: "
-                    f"{report.message}"
+                    f"{report.summary()}"
                 )
-        for core, mean in (("ref", t_ref), ("flat", t_flat)):
-            records.append(
-                {
-                    "name": f"scale[{tier}]/{name}/{core}",
-                    "stats": {"mean": mean},
-                    "tier": tier,
-                    "builder": name,
-                    "core": core,
-                    "num_servers": m,
-                    "num_objects": n,
-                    "actions": len(flat),
-                    "rounds": rounds,
-                }
-            )
+        records.append(
+            {
+                "name": f"scale[{tier}]/{name}",
+                "stats": {"mean": elapsed},
+                "tier": tier,
+                "builder": name,
+                "num_servers": m,
+                "num_objects": n,
+                "actions": len(schedule),
+                "rounds": rounds,
+            }
+        )
         if verbose:
             print(
-                f"  {tier:6s} {name:6s} ref {t_ref:7.3f}s  "
-                f"flat {t_flat:7.3f}s  speedup {t_ref / t_flat:4.2f}x  "
-                f"({len(flat)} actions)",
+                f"  {tier:6s} {name:6s} {elapsed:7.3f}s  "
+                f"({len(schedule)} actions)",
                 flush=True,
             )
     return records

@@ -19,16 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import (
-    ScheduleBuilder,
-    append_transfer_from_nearest,
-    register_builder,
-    shuffled_pairs,
-)
-from repro.model.actions import Delete
+from repro.core.base import ScheduleBuilder, register_builder, shuffled_pairs
+from repro.core.builders.common import ActionLog
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
-from repro.model.state import CAPACITY_EPS, SystemState
+from repro.model.state import CAPACITY_EPS
 from repro.util.rng import ensure_rng
 
 
@@ -39,22 +34,16 @@ class AllRandom(ScheduleBuilder):
     name = "AR"
 
     def build(self, instance: RtspInstance, rng=None) -> Schedule:
-        # Lazy import: repro.flat builds on repro.core, not vice versa.
-        from repro.flat import flat_build, use_flat
-
-        if use_flat(instance):
-            return flat_build(self.name, instance, rng=rng)
         gen = ensure_rng(rng)
-        state = SystemState(instance)
-        schedule = Schedule()
+        log = ActionLog(instance)
         deletions = shuffled_pairs(instance.superfluous(), gen)
         transfers = shuffled_pairs(instance.outstanding(), gen)
         # The per-step "which transfers currently fit" scan, vectorized:
         # pending transfers live in fixed (shuffled) positions with an
         # alive mask, so the ready positions come from one masked
         # comparison of free space against object sizes — in the same
-        # order the scalar list scan produced, keeping the draw sequence
-        # (and therefore the schedule) identical per seed.
+        # order a scalar list scan produces, so the draw sequence (and
+        # therefore the schedule) is fixed per seed.
         t_target = np.fromiter(
             (t for t, _ in transfers), dtype=np.intp, count=len(transfers)
         )
@@ -64,7 +53,7 @@ class AllRandom(ScheduleBuilder):
         t_size = instance.sizes[t_obj]
         alive = np.ones(len(transfers), dtype=bool)
         n_alive = len(transfers)
-        free = state.free_array()
+        free = log.free
         while deletions or n_alive:
             ready = np.flatnonzero(
                 alive & (free[t_target] + CAPACITY_EPS >= t_size)
@@ -76,15 +65,10 @@ class AllRandom(ScheduleBuilder):
             )
             draw = int(gen.integers(total))
             if draw < len(deletions):
-                server, obj = deletions.pop(draw)
-                action = Delete(server, obj)
-                state.apply(action)
-                schedule.append(action)
+                log.delete(*deletions.pop(draw))
             else:
                 pos = int(ready[draw - len(deletions)])
                 alive[pos] = False
                 n_alive -= 1
-                append_transfer_from_nearest(
-                    schedule, state, int(t_target[pos]), int(t_obj[pos])
-                )
-        return schedule
+                log.transfer(int(t_target[pos]), int(t_obj[pos]))
+        return log.schedule()

@@ -15,15 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import (
-    ScheduleBuilder,
-    append_deletions,
-    append_transfer_from_nearest,
-    register_builder,
-)
+from repro.core.base import ScheduleBuilder, register_builder
+from repro.core.builders.common import ActionLog
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
-from repro.model.state import SystemState
 from repro.util.rng import ensure_rng
 
 
@@ -35,26 +30,19 @@ class GroupedServerDeletionsFirst(ScheduleBuilder):
     name = "GSDF"
 
     def build(self, instance: RtspInstance, rng=None) -> Schedule:
-        # Lazy import: repro.flat builds on repro.core, not vice versa.
-        from repro.flat import flat_build, use_flat
-
-        if use_flat(instance):
-            return flat_build(self.name, instance, rng=rng)
         gen = ensure_rng(rng)
-        state = SystemState(instance)
-        schedule = Schedule()
+        log = ActionLog(instance)
         superfluous = instance.superfluous()
         outstanding = instance.outstanding()
         order = list(range(instance.num_servers))
         gen.shuffle(order)
         for server in order:
-            deletions = [
-                (server, int(k)) for k in np.flatnonzero(superfluous[server])
-            ]
+            deletions = np.flatnonzero(superfluous[server]).tolist()
             gen.shuffle(deletions)
-            append_deletions(schedule, state, deletions)
-            incoming = [int(k) for k in np.flatnonzero(outstanding[server])]
+            for obj in deletions:
+                log.delete(server, obj)
+            incoming = np.flatnonzero(outstanding[server]).tolist()
             gen.shuffle(incoming)
             for obj in incoming:
-                append_transfer_from_nearest(schedule, state, server, obj)
-        return schedule
+                log.transfer(server, obj)
+        return log.schedule()

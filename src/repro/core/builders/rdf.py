@@ -13,16 +13,10 @@ which is exactly the pathology H1/H2 were designed to repair.
 
 from __future__ import annotations
 
-from repro.core.base import (
-    ScheduleBuilder,
-    append_deletions,
-    append_transfer_from_nearest,
-    register_builder,
-    shuffled_pairs,
-)
+from repro.core.base import ScheduleBuilder, register_builder, shuffled_pairs
+from repro.core.builders.common import ActionLog
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
-from repro.model.state import SystemState
 from repro.util.rng import ensure_rng
 
 
@@ -33,17 +27,10 @@ class RandomDeletionsFirst(ScheduleBuilder):
     name = "RDF"
 
     def build(self, instance: RtspInstance, rng=None) -> Schedule:
-        # Lazy import: repro.flat builds on repro.core, not vice versa.
-        from repro.flat import flat_build, use_flat
-
-        if use_flat(instance):
-            return flat_build(self.name, instance, rng=rng)
         gen = ensure_rng(rng)
-        state = SystemState(instance)
-        schedule = Schedule()
-        append_deletions(
-            schedule, state, shuffled_pairs(instance.superfluous(), gen)
-        )
+        log = ActionLog(instance)
+        for server, obj in shuffled_pairs(instance.superfluous(), gen):
+            log.delete(server, obj)
         for target, obj in shuffled_pairs(instance.outstanding(), gen):
-            append_transfer_from_nearest(schedule, state, target, obj)
-        return schedule
+            log.transfer(target, obj)
+        return log.schedule()

@@ -270,13 +270,13 @@ class SystemState:
     def apply_transfer_trusted(self, target: int, obj: int) -> None:
         """Record a transfer of ``obj`` onto ``target`` without validation.
 
-        The trusted fast path for the flat builder core
-        (:mod:`repro.flat`): no :class:`Transfer` object is allocated and
-        no validity check runs, so the caller must guarantee the paper's
-        transfer preconditions (a live source exists, ``target`` lacks
-        the replica and has room). The state mutation — including the
-        exact free-space ledger and the nearest-source index — is
-        identical to :meth:`apply`.
+        The builders' fast path
+        (:class:`repro.core.builders.common.ActionLog`): no validity
+        check runs, so the caller must guarantee the paper's transfer
+        preconditions (a live source exists, ``target`` lacks the replica
+        and has room). The state mutation — including the exact
+        free-space ledger and the nearest-source index — is identical to
+        :meth:`apply`.
         """
         self._holds[target, obj] = 1
         self._free_add(target, obj, -1)

@@ -14,8 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.model.actions import Transfer
 from repro.model.instance import RtspInstance
-from repro.model.schedule import KIND_TRANSFER, Schedule
+from repro.model.schedule import KIND_DELETE, KIND_TRANSFER, Schedule
 from repro.shard.mmapcost import CostMatrixStore
 from repro.shard.partition import ShardPart
 from repro.util.errors import ConfigurationError, InfeasibleInstanceError
@@ -40,18 +41,13 @@ class SubInstance:
         Returns ``(kinds, primary, objs, sources)`` lists of plain ints
         in the global index space, ready for
         :meth:`repro.model.schedule.Schedule.from_arrays` (directly or
-        concatenated with other shards' columns). Works on any
-        schedule; :class:`~repro.flat.buffers.FlatSchedule` instances
-        that have not materialized are remapped straight from their
-        arena columns, vectorized.
+        concatenated with other shards' columns).
         """
         server_map = np.asarray(
             self.servers + (self.global_dummy,), dtype=np.int64
         )
         object_map = np.asarray(self.objects, dtype=np.int64)
-        local_dummy = self.instance.dummy
-        columns = _local_columns(schedule, local_dummy)
-        kinds, primary, objs, sources = columns
+        kinds, primary, objs, sources = _local_columns(schedule)
         kind_arr = np.asarray(kinds, dtype=np.int64)
         primary_arr = server_map[np.asarray(primary, dtype=np.int64)]
         obj_arr = object_map[np.asarray(objs, dtype=np.int64)]
@@ -69,30 +65,12 @@ class SubInstance:
         )
 
 
-def _local_columns(schedule: Schedule, local_dummy: int) -> Columns:
+def _local_columns(schedule: Schedule) -> Columns:
     """Flat ``(kinds, primary, objs, sources)`` columns of ``schedule``."""
-    try:
-        from repro.flat.buffers import FlatSchedule
-    except ImportError:  # pragma: no cover - flat core always ships
-        FlatSchedule = None  # type: ignore[assignment]
-    if (
-        FlatSchedule is not None
-        and isinstance(schedule, FlatSchedule)
-        and not schedule.materialized
-    ):
-        kind, primary, obj, source = schedule._buffer.columns()
-        return (
-            kind.tolist(),
-            primary.tolist(),
-            obj.tolist(),
-            source.tolist(),
-        )
     kinds: List[int] = []
     primary: List[int] = []
     objs: List[int] = []
     sources: List[int] = []
-    from repro.model.actions import Transfer
-
     for action in schedule:
         if isinstance(action, Transfer):
             kinds.append(KIND_TRANSFER)
@@ -100,7 +78,7 @@ def _local_columns(schedule: Schedule, local_dummy: int) -> Columns:
             objs.append(action.obj)
             sources.append(action.source)
         else:
-            kinds.append(1)  # KIND_DELETE
+            kinds.append(KIND_DELETE)
             primary.append(action.server)
             objs.append(action.obj)
             sources.append(0)

@@ -5,7 +5,8 @@ len(waiting[obj]))``. The contract: every replicator-set mutation flows
 through the state before the next ``get``, and waiting sets only ever
 shrink. Under those rules a stamp can never repeat with different
 underlying sets — even when *several* actions land between queries, as
-the wave-batched flat builders do — so stale hits are impossible.
+they do in GOLCF and GMC whenever targets have room — so stale hits are
+impossible.
 
 These tests pin both sides: batched deliveries between queries force a
 recompute that matches a from-scratch ``keep_benefit``, and an unchanged
@@ -55,8 +56,8 @@ def test_batched_deliveries_invalidate_before_next_get():
     first = cache.get(target, obj)
     assert first == _fresh_benefit(state, target, obj, waiting)
 
-    # A wave of deliveries lands between queries — no get() in between,
-    # exactly the flat builders' batching. Each delivery bumps the
+    # Several deliveries land between queries — no get() in between,
+    # as in a build where the targets have room. Each delivery bumps the
     # version counter and shrinks the waiting set.
     delivered = absent[:2]
     for s in delivered:

@@ -5,7 +5,12 @@ import pytest
 
 from repro.model.actions import Delete, Transfer
 from repro.model.instance import RtspInstance
-from repro.model.schedule import Schedule
+from repro.model.schedule import (
+    KIND_DELETE,
+    KIND_TRANSFER,
+    Schedule,
+    actions_from_arrays,
+)
 from repro.util.errors import InvalidActionError, InvalidScheduleError
 
 
@@ -137,3 +142,11 @@ class TestValidation:
     def test_summary_mentions_validity(self, inst, good):
         assert "valid" in good.summary(inst)
         assert "INVALID" in Schedule([Delete(2, 0)]).summary(inst)
+
+
+def test_actions_from_arrays_and_schedule_from_arrays():
+    kinds = [KIND_TRANSFER, KIND_DELETE]
+    actions = actions_from_arrays(kinds, [4, 2], [9, 9], [1, 0])
+    assert actions == [Transfer(4, 9, 1), Delete(2, 9)]
+    sched = Schedule.from_arrays(kinds, [4, 2], [9, 9], [1, 0])
+    assert sched.actions() == actions

@@ -6,7 +6,6 @@ import pytest
 from repro.core.pipeline import build_pipeline
 from repro.exact.differential import DEFAULT_FAMILIES, family_instances
 from repro.exact.validate import check_invariants
-from repro.flat import flat_mode_override
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
 from repro.shard import (
@@ -58,14 +57,6 @@ class TestStitchDifferential:
             composed, pipeline, shards=shards, workers=workers, rng=SEED
         )
         assert list(plan.schedule) == list(reference)
-
-    def test_flat_core_stitches_identically(self, composed, pipeline):
-        baseline = plan_sharded(composed, pipeline, shards=2, rng=SEED)
-        with flat_mode_override("on"):
-            flat = plan_sharded(
-                composed, pipeline, shards=2, workers=2, rng=SEED
-            )
-        assert list(flat.schedule) == list(baseline.schedule)
 
     def test_single_part_matches_unsharded_planning(self, blocks, pipeline):
         instance = blocks[0]

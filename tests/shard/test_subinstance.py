@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import build_pipeline
-from repro.flat import flat_mode_override
 from repro.model.actions import Delete, Transfer
 from repro.model.schedule import KIND_DELETE, KIND_TRANSFER
 from repro.shard import CostMatrixStore, partition_connected
@@ -72,10 +71,3 @@ class TestGlobalize:
                 assert target == first_part.servers[action.server]
                 assert obj == first_part.objects[action.obj]
                 assert source == 0
-
-    def test_flat_schedule_globalizes_identically(self, composed, first_part):
-        sub = extract_subinstance(composed, first_part)
-        reference = build_pipeline("GOLCF+H1").run(sub.instance, rng=4)
-        with flat_mode_override("on"):
-            flat = build_pipeline("GOLCF+H1").run(sub.instance, rng=4)
-        assert sub.globalize(flat) == sub.globalize(reference)
