@@ -13,7 +13,7 @@ the build → simulate → repair pipeline. Five pillars:
   them. Wired into the nearest-source index, the builders' selector and
   benefit caches, both simulators, and the repair engine.
 * :mod:`repro.obs.events` — a live structured event stream
-  (``rtsp-events/1``: shard lifecycle, builder waves, repair rounds,
+  (``rtsp-events/1``: shard lifecycle, builder heartbeats, repair rounds,
   invariant failures) with worker-fragment merging, an ``on_event``
   hook for live progress rendering, and the bounded
   :class:`FlightRecorder` ring buffer that dumps the last moments

@@ -1,4 +1,4 @@
-"""Process-local observability context.
+"""Per-thread observability context.
 
 Instrumented code never receives a tracer or registry through its
 constructor — that would thread observability arguments through every
@@ -16,17 +16,21 @@ layer. Instead it asks this module for the *active* instruments:
   stream is off (same single ``is None`` check contract as metrics).
 
 The context is installed with the :func:`use_tracer` / :func:`use_metrics`
-/ :func:`use_events` / :func:`observed` context managers. It is deliberately a plain
-process-global (not a thread/context variable): the workloads parallelize
-over *processes* (fork pools), where each worker installs its own
-context, and the zero-overhead-when-off contract rules out contextvar
-lookups on hot paths.
+/ :func:`use_events` / :func:`observed` context managers. It lives in
+:mod:`contextvars` variables, so each thread sees only what it installed
+itself: the planning service runs concurrent jobs on worker threads, and
+one job's stream must never capture another job's builder. A new thread
+starts with everything off; a forked pool worker inherits the forking
+thread's context. Instrumented code reads the context once per build or
+pipeline construction, never per action, so the lookup is off the hot
+path.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from contextvars import ContextVar
+from typing import ContextManager, Iterator, Optional, Union
 
 from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
@@ -42,70 +46,65 @@ __all__ = [
     "observed",
 ]
 
-_active_tracer: Union[Tracer, NullTracer] = NULL_TRACER
-_active_metrics: Optional[MetricsRegistry] = None
-_active_events: Optional[EventStream] = None
+_active_tracer: ContextVar[Union[Tracer, NullTracer]] = ContextVar(
+    "repro_obs_tracer", default=NULL_TRACER
+)
+_active_metrics: ContextVar[Optional[MetricsRegistry]] = ContextVar(
+    "repro_obs_metrics", default=None
+)
+_active_events: ContextVar[Optional[EventStream]] = ContextVar(
+    "repro_obs_events", default=None
+)
 
 
 def current_tracer() -> Union[Tracer, NullTracer]:
     """The active tracer (:data:`NULL_TRACER` when tracing is off)."""
-    return _active_tracer
+    return _active_tracer.get()
 
 
 def current_metrics() -> Optional[MetricsRegistry]:
     """The active metrics registry, or ``None`` when metrics are off."""
-    return _active_metrics
+    return _active_metrics.get()
 
 
 def current_events() -> Optional[EventStream]:
     """The active event stream, or ``None`` when events are off."""
-    return _active_events
+    return _active_events.get()
 
 
 @contextmanager
-def use_tracer(tracer: Optional[Union[Tracer, NullTracer]]) -> Iterator[None]:
+def _installed(var: ContextVar, value: object) -> Iterator[None]:
+    previous = var.get()
+    var.set(value)
+    try:
+        yield
+    finally:
+        var.set(previous)
+
+
+def use_tracer(tracer: Optional[Union[Tracer, NullTracer]]) -> ContextManager[None]:
     """Install ``tracer`` as the active tracer for the ``with`` block.
 
     ``None`` maps to :data:`NULL_TRACER` (tracing off), so callers can
     pass an optional tracer straight through.
     """
-    global _active_tracer
-    previous = _active_tracer
-    _active_tracer = NULL_TRACER if tracer is None else tracer
-    try:
-        yield
-    finally:
-        _active_tracer = previous
+    return _installed(_active_tracer, NULL_TRACER if tracer is None else tracer)
 
 
-@contextmanager
-def use_metrics(registry: Optional[MetricsRegistry]) -> Iterator[None]:
+def use_metrics(registry: Optional[MetricsRegistry]) -> ContextManager[None]:
     """Install ``registry`` as the active metrics sink for the block.
 
     ``None`` turns metrics off for the block.
     """
-    global _active_metrics
-    previous = _active_metrics
-    _active_metrics = registry
-    try:
-        yield
-    finally:
-        _active_metrics = previous
+    return _installed(_active_metrics, registry)
 
 
-@contextmanager
-def use_events(stream: Optional[EventStream]) -> Iterator[None]:
+def use_events(stream: Optional[EventStream]) -> ContextManager[None]:
     """Install ``stream`` as the active event sink for the block.
 
     ``None`` turns the event stream off for the block.
     """
-    global _active_events
-    previous = _active_events
-    _active_events = stream
-    try:
-        yield
-    finally:
-        _active_events = previous
+    return _installed(_active_events, stream)
 
 
 @contextmanager

@@ -6,7 +6,7 @@ bounded by the worker count no matter how many connections are open.
 
 Jobs are cooperative. A running job periodically calls
 :meth:`JobContext.check` (the service wires the check into the job's
-``rtsp-events/1`` progress stream, so every builder-wave heartbeat and
+``rtsp-events/1`` progress stream, so every builder heartbeat and
 shard completion is a cancellation point); ``check`` raises
 :class:`JobCancelled` / :class:`JobTimeout`, which the worker maps to
 the terminal ``cancelled`` / ``timeout`` states. Jobs still pending
@@ -177,7 +177,7 @@ class JobContext:
         """An ``on_event`` hook turning every event into a checkpoint.
 
         Install on an :class:`~repro.obs.events.EventStream` that deep
-        instrumentation writes to, so builder-wave heartbeats double as
+        instrumentation writes to, so builder heartbeats double as
         cancellation points.
         """
 

@@ -16,12 +16,12 @@ per part-count, see :mod:`repro.shard`). The differential tests in
 ``tests/serve/`` enforce this.
 
 Deep progress: at most one running job at a time additionally installs
-its progress stream as the process-global observability context (the
-context is deliberately a plain global, see :mod:`repro.obs.context`),
-so builder-wave heartbeats and shard completions flow into the job's
-``rtsp-events/1`` stream — and every such event doubles as a
-cancellation/timeout checkpoint. Concurrent jobs still plan correctly;
-they just report coarser (job-level) progress.
+its progress stream and the service's metrics registry as its thread's
+observability context (:mod:`repro.obs.context`), so builder heartbeats
+and shard completions flow into the job's ``rtsp-events/1`` stream —
+and every such event doubles as a cancellation/timeout checkpoint. The
+context is per thread, so concurrent jobs never see the deep job's
+stream; they plan correctly and report coarser (job-level) progress.
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ class PlanningService:
                 if deep:
                     # Builder heartbeats land on the job stream and act
                     # as cancellation checkpoints. One deep job at a
-                    # time: the obs context is process-global.
+                    # time: they all share the service's registry.
                     def _forward(event: Any) -> None:
                         ctx.job.record(event.name, **event.attrs)
                         ctx.check()

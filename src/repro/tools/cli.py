@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="render live heartbeat events (shard completions, builder "
-        "waves) on the terminal",
+        "progress) on the terminal",
     )
     p.add_argument(
         "--events",

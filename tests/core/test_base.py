@@ -8,9 +8,9 @@ from repro.core.base import (
     available_optimizers,
     get_builder,
     get_optimizer,
-    golcf_benefit,
     shuffled_pairs,
 )
+from repro.core.builders.common import EvictionBenefitCache
 from repro.model.state import SystemState
 from repro.util.errors import ConfigurationError
 
@@ -78,12 +78,17 @@ class TestShuffledPairs:
         assert shuffled_pairs(np.zeros((2, 2), dtype=np.int8), rng=0) == []
 
 
+def eq4_benefit(state, server, obj, pending):
+    """Deletion benefit ``B_ik`` (paper eq. 4) as the builders compute it."""
+    return EvictionBenefitCache(state, pending).get(server, obj)
+
+
 class TestGolcfBenefit:
     def test_counts_only_waiting_servers_with_this_nearest(self, fig3):
         state = SystemState(fig3)
         # object B (=1) superfluous at S3 (index 2); pending at S1 (index 1)
         pending = {1: {1}}
-        benefit = golcf_benefit(fig3, state, 2, 1, pending)
+        benefit = eq4_benefit(state, 2, 1, pending)
         # S1's nearest source of B is S0 (cost 1), not S2 -> zero benefit
         assert benefit == 0.0
 
@@ -92,11 +97,11 @@ class TestGolcfBenefit:
         # object C (=2): replicators S1 (cost 2 from S3) and S2 (cost 1);
         # S3 (index 3) waits. Deleting S2's copy forces cost 3->? via S1.
         pending = {2: {3}}
-        benefit = golcf_benefit(fig3, state, 2, 2, pending)
+        benefit = eq4_benefit(state, 2, 2, pending)
         # nearest for S3 is S2 (cost 1), second nearest S1 (cost 3)
         assert benefit == pytest.approx(1.0 * (3.0 - 1.0))
 
     def test_zero_when_no_pending(self, fig3):
         state = SystemState(fig3)
-        assert golcf_benefit(fig3, state, 2, 1, {}) == 0.0
-        assert golcf_benefit(fig3, state, 2, 1, {1: set()}) == 0.0
+        assert eq4_benefit(state, 2, 1, {}) == 0.0
+        assert eq4_benefit(state, 2, 1, {1: set()}) == 0.0

@@ -1,6 +1,7 @@
 """Tests for the rtsp-events/1 event stream and the flight recorder."""
 
 import json
+import threading
 
 import pytest
 
@@ -210,3 +211,29 @@ class TestContext:
         with use_events(stream):
             assert current_events() is stream
         assert current_events() is None
+
+    def test_context_is_per_thread(self):
+        """A stream installed by one thread is invisible to another."""
+        stream = EventStream()
+        installed, checked = threading.Event(), threading.Event()
+        seen = []
+
+        def holder():
+            with use_events(stream):
+                installed.set()
+                checked.wait(10.0)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert installed.wait(10.0)
+            seen.append(current_events())
+            other = threading.Thread(
+                target=lambda: seen.append(current_events())
+            )
+            other.start()
+            other.join()
+        finally:
+            checked.set()
+            thread.join()
+        assert seen == [None, None]

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.core import build_pipeline
 from repro.io import instance_to_dict, schedule_to_dict
 from repro.serve import ServeConfig, PlanningService
 from repro.serve.cache import topology_hash
+from repro.workloads import paper_instance
 from repro.serve.schemas import (
     BATCH_REQUEST_FORMAT,
     BATCH_RESPONSE_FORMAT,
@@ -379,3 +382,60 @@ class TestDefaultTimeout:
             status, payload = service.plan(plan_payload(small_instance))
             assert status == 504
             assert payload["error"] == "timeout"
+
+
+class TestDeepProgressIsolation:
+    """Only the job holding the deep-progress slot sees its stream."""
+
+    HELD_SEED = 11
+
+    def test_other_job_is_not_captured_by_the_deep_job(
+        self, monkeypatch, service, small_instance
+    ):
+        # 400 GOLCF transfers: past the 256-transfer builder heartbeat.
+        busy = paper_instance(
+            replicas=2, num_servers=20, num_objects=200, rng=1
+        )
+        holding, release = threading.Event(), threading.Event()
+        real_build_pipeline = service_module.build_pipeline
+        held_seed = self.HELD_SEED
+
+        class HeldPipeline:
+            """Parks the held job inside its deep-progress window."""
+
+            def __init__(self, spec):
+                self._inner = real_build_pipeline(spec)
+
+            def run(self, instance, rng=None):
+                if rng == held_seed:
+                    holding.set()
+                    release.wait(10.0)
+                return self._inner.run(instance, rng=rng)
+
+        monkeypatch.setattr(service_module, "build_pipeline", HeldPipeline)
+        try:
+            status, held = service.plan(
+                plan_payload(
+                    small_instance,
+                    pipeline="GOLCF",
+                    seed=held_seed,
+                    mode="async",
+                )
+            )
+            assert status == 202
+            assert holding.wait(10.0)
+            # Cancelling the deep job must not reach the other job,
+            # whose builder runs while the deep job still holds its slot.
+            service.cancel_job(held["id"])
+            status, other = service.plan(
+                plan_payload(busy, pipeline="GOLCF", seed=3)
+            )
+        finally:
+            release.set()
+        assert status == 200, other
+        expected = real_build_pipeline("GOLCF").run(busy, rng=3)
+        assert other["schedule"] == schedule_to_dict(expected)
+        final = wait_terminal(service, held["id"])
+        assert final["state"] == "cancelled"
+        names = [event["name"] for event in final["events"]]
+        assert "builder.progress" not in names
