@@ -245,8 +245,14 @@ class BranchAndBoundSolver:
     # incumbent seeding
     # ------------------------------------------------------------------
     def _seed_from_heuristics(self, instance: RtspInstance) -> None:
+        x_new = instance.x_new
         for spec in self.seed_pipelines:
             schedule = build_pipeline(spec).run(instance, rng=0)
+            if not self.allow_staging and any(
+                isinstance(a, Transfer) and not x_new[a.target, a.obj]
+                for a in schedule
+            ):
+                continue  # a staging seed lies outside the searched space
             report = schedule.validate(instance)
             if report.ok and report.cost < self._best_cost:
                 self._best_cost = report.cost

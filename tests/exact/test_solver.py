@@ -70,21 +70,7 @@ class TestOptimality:
         assert result.status == PROVED_OPTIMAL
         assert result.schedule.validate(fig3).ok
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            pytest.param(
-                name,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the seeded incumbent ignores allow_staging=False",
-                ),
-            )
-            if name == "spare-swap-no-staging"
-            else name
-            for name in PINNED_OPTIMA
-        ],
-    )
+    @pytest.mark.parametrize("name", list(PINNED_OPTIMA))
     def test_matches_legacy_exact_solver(self, name):
         factory, allow_staging, optimum = PINNED_OPTIMA[name]
         result = solve_optimal(factory(), allow_staging=allow_staging)
@@ -183,9 +169,6 @@ class TestStagingToggle:
         assert with_staging.cost <= without.cost + 1e-9
         assert without.schedule.validate(fig3).ok
 
-    @pytest.mark.xfail(
-        strict=True, reason="the seeded incumbent ignores allow_staging=False"
-    )
     def test_staging_off_never_stages(self):
         instance = spare_server_swap_instance()
         result = solve_optimal(instance, allow_staging=False)
