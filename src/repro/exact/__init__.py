@@ -8,7 +8,9 @@ ground truth and the machinery to hold every other layer to it:
 * :mod:`repro.exact.solver` — a branch-and-bound optimal solver
   (:class:`BranchAndBoundSolver`) with memoized state hashing,
   dominance pruning, admissible lower bounds, and node/time budgets
-  that distinguish :data:`PROVED_OPTIMAL` from :data:`BEST_FOUND`;
+  that distinguish :data:`PROVED_OPTIMAL` from :data:`BEST_FOUND`,
+  and the RTSP-decision answer :func:`decide_rtsp` read off its
+  certificate;
 * :mod:`repro.exact.validate` — a strict schedule invariant checker
   (:func:`check_invariants`) implemented independently of
   :mod:`repro.model`, usable as a differential oracle against every
@@ -38,6 +40,7 @@ from repro.exact.solver import (
     SolveResult,
     SolveStats,
     SolverBudget,
+    decide_rtsp,
     solve_optimal,
 )
 from repro.exact.validate import (
@@ -57,6 +60,7 @@ __all__ = [
     "SolveResult",
     "SolveStats",
     "solve_optimal",
+    "decide_rtsp",
     # validate
     "InvariantReport",
     "InvariantViolation",

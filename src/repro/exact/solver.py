@@ -48,7 +48,11 @@ worst-case argument (§3.3) also lives entirely in this space.
 
 The incumbent is seeded with the best heuristic pipeline result
 (deterministic, ``rng=0``), so the search starts with a tight upper
-bound instead of discovering one.
+bound instead of discovering one. With staging off, a seed that stages
+a copy outside ``X_new`` is skipped: it lies outside the searched space.
+
+:func:`decide_rtsp` answers the paper's RTSP-decision question from the
+same certificate.
 
 Budgets and statuses
 --------------------
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +93,7 @@ __all__ = [
     "SolveResult",
     "BranchAndBoundSolver",
     "solve_optimal",
+    "decide_rtsp",
 ]
 
 #: The search space was exhausted: ``cost`` is the proven optimum.
@@ -96,7 +101,7 @@ PROVED_OPTIMAL = "PROVED_OPTIMAL"
 #: A budget cut the search short: ``cost`` is an upper bound only.
 BEST_FOUND = "BEST_FOUND"
 
-#: Default pipelines used to seed the incumbent (deterministic, rng=0).
+#: Pipelines that seed the incumbent (deterministic, rng=0).
 _SEED_PIPELINES: Tuple[str, ...] = ("GOLCF+H1+H2+OP1", "GSDF")
 
 
@@ -175,12 +180,10 @@ class BranchAndBoundSolver:
         budget: SolverBudget = SolverBudget(),
         allow_staging: bool = True,
         seed_incumbent: bool = True,
-        seed_pipelines: Sequence[str] = _SEED_PIPELINES,
     ) -> None:
         self.budget = budget
         self.allow_staging = allow_staging
         self.seed_incumbent = seed_incumbent
-        self.seed_pipelines = tuple(seed_pipelines)
 
     # ------------------------------------------------------------------
     def solve(self, instance: RtspInstance) -> SolveResult:
@@ -246,7 +249,7 @@ class BranchAndBoundSolver:
     # ------------------------------------------------------------------
     def _seed_from_heuristics(self, instance: RtspInstance) -> None:
         x_new = instance.x_new
-        for spec in self.seed_pipelines:
+        for spec in _SEED_PIPELINES:
             schedule = build_pipeline(spec).run(instance, rng=0)
             if not self.allow_staging and any(
                 isinstance(a, Transfer) and not x_new[a.target, a.obj]
@@ -460,3 +463,28 @@ def solve_optimal(
         budget=budget or SolverBudget(), allow_staging=allow_staging
     )
     return solver.solve(instance)
+
+
+def decide_rtsp(
+    instance: RtspInstance,
+    budget: float,
+    allow_staging: bool = True,
+    max_nodes: int = 2_000_000,
+) -> Optional[bool]:
+    """RTSP-decision (paper §3.4): is there a valid schedule of
+    implementation cost at most ``budget``?
+
+    Read off :func:`solve_optimal`'s certificate: ``True`` when the best
+    schedule found fits the budget, ``False`` when the certified lower
+    bound exceeds it, ``None`` when the node budget ran out in between.
+    """
+    # Slack so a schedule that hits the budget exactly counts as "yes".
+    cap = float(budget) + max(1e-9, abs(float(budget)) * 1e-12)
+    result = solve_optimal(
+        instance, SolverBudget(max_nodes=max_nodes), allow_staging
+    )
+    if result.cost <= cap:
+        return True
+    if result.lower_bound > cap:
+        return False
+    return None

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import solve_exact
-from repro.core.exact import decide_rtsp
+from repro.exact import decide_rtsp, solve_optimal
 from repro.npc import (
     KnapsackInstance,
     decision_threshold,
@@ -14,15 +13,15 @@ from repro.npc import (
 
 class TestDecideRtsp:
     def test_yes_at_the_optimum(self, fig1):
-        opt = solve_exact(fig1).cost
+        opt = solve_optimal(fig1).cost
         assert decide_rtsp(fig1, opt) is True
 
     def test_yes_at_exact_budget(self, fig1):
-        opt = solve_exact(fig1).cost
+        opt = solve_optimal(fig1).cost
         assert decide_rtsp(fig1, opt + 10.0) is True
 
     def test_no_below_the_optimum(self, fig1):
-        opt = solve_exact(fig1).cost
+        opt = solve_optimal(fig1).cost
         assert decide_rtsp(fig1, opt - 0.5) is False
 
     def test_no_at_zero_budget_with_work_to_do(self, fig3):
@@ -38,11 +37,13 @@ class TestDecideRtsp:
         assert decide_rtsp(inst, 0.0) is True
 
     def test_uncertified_when_budget_exhausted(self, fig3):
-        opt = solve_exact(fig3).cost
+        opt = solve_optimal(fig3).cost
+        # three nodes leave the incumbent above the budget and the root
+        # bound at it, so neither answer is certified
         assert decide_rtsp(fig3, opt - 1.0, max_nodes=3) is None
 
     def test_monotone_in_budget(self, fig3):
-        opt = solve_exact(fig3).cost
+        opt = solve_optimal(fig3).cost
         answers = [
             decide_rtsp(fig3, b)
             for b in (opt - 1.0, opt, opt + 5.0)

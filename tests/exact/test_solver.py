@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.bounds import residual_lower_bound
 from repro.analysis.examples import fig1_deadlock_instance, fig3_example_instance
-from repro.core import build_pipeline, solve_exact
+from repro.core import build_pipeline
 from repro.exact import (
     BEST_FOUND,
     PROVED_OPTIMAL,
@@ -76,13 +76,6 @@ class TestOptimality:
         result = solve_optimal(factory(), allow_staging=allow_staging)
         assert result.status == PROVED_OPTIMAL
         assert result.cost == pytest.approx(optimum)
-
-    @pytest.mark.parametrize("name", list(PINNED_OPTIMA))
-    def test_legacy_solver_proves_pinned_optima(self, name):
-        factory, allow_staging, optimum = PINNED_OPTIMA[name]
-        legacy = solve_exact(factory(), allow_staging=allow_staging)
-        assert legacy.complete
-        assert legacy.cost == pytest.approx(optimum)
 
     def test_never_above_heuristics(self, fig3):
         result = solve_optimal(fig3)

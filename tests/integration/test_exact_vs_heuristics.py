@@ -8,7 +8,8 @@ to it.
 import numpy as np
 import pytest
 
-from repro.core import build_pipeline, solve_exact
+from repro.core import build_pipeline
+from repro.exact import SolverBudget, solve_optimal
 from repro.model.instance import RtspInstance
 from repro.network.costmatrix import uniform_cost_matrix
 from repro.workloads.regular import regular_placement_pair
@@ -30,23 +31,12 @@ def small_instance(seed, m=4, n=4, r=2):
 PIPELINES = ["RDF", "GSDF", "AR", "GOLCF", "GOLCF+H1+H2+OP1", "RDF+H1+H2+OP1"]
 
 
-def _solve_with_best_seed(inst, max_nodes=400_000):
-    """Seed branch and bound with the best heuristic schedule found."""
-    best = None
-    for spec in ("GOLCF+H1+H2+OP1", "RDF+H1+H2+OP1"):
-        for run_seed in range(3):
-            cand = build_pipeline(spec).run(inst, rng=run_seed)
-            if best is None or cand.cost(inst) < best.cost(inst):
-                best = cand
-    return solve_exact(inst, initial=best, max_nodes=max_nodes)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_heuristics_never_beat_exact(seed):
     inst = small_instance(seed, n=3)
-    result = _solve_with_best_seed(inst)
+    result = solve_optimal(inst)
     assert result.schedule.validate(inst).ok
-    if not result.complete:
+    if not result.proved_optimal:
         pytest.skip("search budget exhausted; optimum not certified")
     for spec in PIPELINES:
         for run_seed in range(3):
@@ -59,8 +49,8 @@ def test_winner_pipeline_close_to_optimum(seed):
     """GOLCF+H1+H2+OP1's best-of-3 lands within 60% of the optimum on
     these tiny zero-slack instances (typically much closer)."""
     inst = small_instance(seed, n=3)
-    result = _solve_with_best_seed(inst)
-    if not result.complete:
+    result = solve_optimal(inst)
+    if not result.proved_optimal:
         pytest.skip("search budget exhausted; optimum not certified")
     best = min(
         build_pipeline("GOLCF+H1+H2+OP1").run(inst, rng=s).cost(inst)
@@ -71,7 +61,8 @@ def test_winner_pipeline_close_to_optimum(seed):
 
 def test_exact_incomplete_still_sound():
     inst = small_instance(0, m=5, n=5, r=2)
-    seed_schedule = build_pipeline("GOLCF").run(inst, rng=0)
-    result = solve_exact(inst, initial=seed_schedule, max_nodes=500)
+    # the solver seeds its incumbent with this pipeline's schedule
+    seed_schedule = build_pipeline("GOLCF+H1+H2+OP1").run(inst, rng=0)
+    result = solve_optimal(inst, budget=SolverBudget(max_nodes=500))
     assert result.schedule.validate(inst).ok
     assert result.cost <= seed_schedule.cost(inst) + 1e-9
