@@ -22,9 +22,8 @@ the build → simulate → repair pipeline. Five pillars:
   JSON for metrics snapshots and span lists, round-trippable for
   validation.
 * :mod:`repro.obs.profile` — :class:`StageProfiler` (per-stage wall
-  clocks; successor of ``repro.util.timing.Stopwatch``) plus opt-in
-  cProfile (:func:`profiled`) and tracemalloc (:func:`trace_memory`)
-  context managers.
+  clocks) plus opt-in cProfile (:func:`profiled`) and tracemalloc
+  (:func:`trace_memory`) context managers.
 
 Activation is context-based (:mod:`repro.obs.context`): install a
 tracer/registry with :func:`observed` and every instrumented layer

@@ -1,8 +1,7 @@
 """Opt-in profiling: per-stage wall clocks, cProfile and tracemalloc.
 
 :class:`StageProfiler` is the accumulating named-lap wall-clock profiler
-every harness stage uses (it subsumes the old
-``repro.util.timing.Stopwatch``, which remains as a deprecated shim).
+every harness stage uses.
 :func:`profiled` and :func:`trace_memory` wrap a block in cProfile /
 tracemalloc and expose the results on a small handle object — both are
 strictly opt-in and never touched by default code paths.
@@ -49,9 +48,6 @@ class StageProfiler:
         """Context manager accumulating elapsed time under ``name``."""
         return _Stage(self, name)
 
-    #: Backwards-compatible alias (the Stopwatch API called stages laps).
-    lap = stage
-
     def add(self, name: str, seconds: float) -> None:
         """Add ``seconds`` to stage ``name`` (creating it if needed)."""
         self.laps[name] = self.laps.get(name, 0.0) + float(seconds)
@@ -93,9 +89,9 @@ class _Stage:
 def timed(watch, name: Optional[str] = None) -> Callable[[F], F]:
     """Decorator recording each call's duration into ``watch``.
 
-    ``watch`` is anything with an ``add(name, seconds)`` method
-    (:class:`StageProfiler` or the legacy ``Stopwatch``); the lap name
-    defaults to the wrapped function's ``__name__``.
+    ``watch`` is anything with an ``add(name, seconds)`` method, such
+    as :class:`StageProfiler`; the lap name defaults to the wrapped
+    function's ``__name__``.
     """
 
     def decorate(fn: F) -> F:

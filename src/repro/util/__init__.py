@@ -1,4 +1,4 @@
-"""Shared utilities: errors, RNG plumbing, validation, timing.
+"""Shared utilities: errors, RNG plumbing, validation.
 
 These helpers are deliberately small and dependency-free so that every
 other subpackage can import them without cycles.
@@ -13,7 +13,6 @@ from repro.util.errors import (
     ConfigurationError,
 )
 from repro.util.rng import ensure_rng, spawn_rngs, derive_seed
-from repro.util.timing import Stopwatch, timed
 from repro.util.validation import (
     check_binary_matrix,
     check_nonnegative,
@@ -32,8 +31,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "derive_seed",
-    "Stopwatch",
-    "timed",
     "check_binary_matrix",
     "check_nonnegative",
     "check_positive",

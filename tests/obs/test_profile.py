@@ -1,6 +1,4 @@
-"""Tests for the opt-in profilers and the deprecated Stopwatch shim."""
-
-import warnings
+"""Tests for the opt-in profilers."""
 
 import pytest
 
@@ -24,10 +22,12 @@ class TestStageProfiler:
         assert p.total == pytest.approx(sum(p.laps.values()))
 
     def test_lap_alias(self):
+        # stages are recorded under ``laps``; the old ``lap`` alias is gone
         p = StageProfiler()
-        with p.lap("x"):
+        with p.stage("x"):
             pass
         assert "x" in p.laps
+        assert not hasattr(p, "lap")
 
     def test_stage_exposes_seconds(self):
         p = StageProfiler()
@@ -90,18 +90,3 @@ class TestTraceMemory:
             assert tracemalloc.is_tracing()
         assert not tracemalloc.is_tracing()
 
-
-class TestStopwatchShim:
-    def test_stopwatch_warns_and_subclasses(self):
-        from repro.util.timing import Stopwatch
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sw = Stopwatch()
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert isinstance(sw, StageProfiler)
-        with sw.lap("legacy"):
-            pass
-        assert "legacy" in sw.laps
