@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
+from repro.model.nearest import keep_benefit
 from repro.model.schedule import Schedule
 from repro.model.state import CAPACITY_EPS, SystemState
 from repro.obs.context import current_events, current_metrics
@@ -153,42 +154,23 @@ class PendingTransferSelector:
     transfer's object plus any eviction victims). The global choice is
     then a single first-minimum ``np.argmin`` over the flat array.
 
-    Slice refreshes are adaptive, mirroring the nearest-source index: a
-    scalar scan over the live holder set when the ``pending x holders``
-    block is tiny (the common case at the paper's replica counts, where
-    NumPy per-call overhead dominates), one masked gather + row-min when
-    it is large.
+    Slice refreshes scan the live holder set of the object per pending
+    target: ``size * min(row[dummy], row[j] for j in holders)``. Pending
+    targets never hold their own object (a target leaves the pending
+    list before its replica is recorded, and eq. 4 evictions only ever
+    remove superfluous replicas), so the scan needs no self-exclusion.
 
     Tie-breaking is unchanged: the flat array is ordered by work-list
     (insertion) order of objects, then per-object pending order, and
     ``np.argmin`` returns the first minimum — exactly the element the
     scalar ``cost < best`` scan would have kept.
-
-    Path-identity contract: the scalar and gather refreshes must write
-    bit-identical costs so schedules never depend on which side of
-    ``_SCALAR_BLOCK`` an instance lands on. Both compute
-    ``size * min(row[dummy], row[j] for j in holders)`` — a single
-    gathered minimum times one float64 multiply, no summation — so the
-    values agree exactly as long as the cost matrix is NaN-free
-    (enforced by :meth:`repro.model.instance.RtspInstance.create`; a NaN
-    entry is skipped by the scalar ``<`` scan but *selected* by the
-    gather's ``argmin``) and pending targets never hold their own
-    object (guaranteed by construction: a target leaves the pending
-    list before its replica is recorded, and eq. 4 evictions only ever
-    remove superfluous replicas, never an ``X_new`` cell).
-    ``tests/core/test_selector_paths.py`` pins both paths to the same
-    instances and asserts byte-identical schedules.
     """
-
-    #: Below this ``pending x candidates`` block size a Python scan beats
-    #: the NumPy gather (per-call overhead ~10-20us vs ~0.1us/compare).
-    _SCALAR_BLOCK = 128
 
     def __init__(
         self, state: SystemState, targets: Dict[int, List[int]]
     ) -> None:
         instance = state.instance
-        self._index = state.index
+        self._state = state
         self._costs = instance.costs
         self._dummy = instance.dummy
         self._sizes = instance.sizes
@@ -215,30 +197,21 @@ class PendingTransferSelector:
         pend = self._pend[obj]
         base = self._starts[self._slot[obj]]
         size = float(self._sizes[obj])
-        holders = self._index.holders(obj)
+        holders = self._state.holders(obj)
         if self._c_scanned is not None:
             self._c_refreshes.value += 1
             self._c_scanned.value += len(pend) * (len(holders) + 1)
         costs = self._costs
         dummy = self._dummy
         flat = self._cost
-        if len(pend) * (len(holders) + 1) <= self._SCALAR_BLOCK:
-            for off, t in enumerate(pend):
-                row = costs[t]
-                best = row[dummy]
-                for j in holders:
-                    c = row[j]
-                    if c < best:
-                        best = c
-                flat[base + off] = size * best
-        else:
-            # Large block: read the index's cached per-server cost row
-            # (``l_{i,N(i,k,X)}`` — the exact quantity this slice holds;
-            # pending targets never hold ``obj``, so self-exclusion is
-            # vacuous) instead of re-gathering the holder columns.
-            pend_arr = np.asarray(pend, dtype=np.intp)
-            units = self._index.nearest_cost_row(obj)[pend_arr]
-            flat[base : base + len(pend)] = size * units
+        for off, t in enumerate(pend):
+            row = costs[t]
+            best = row[dummy]
+            for j in holders:
+                c = row[j]
+                if c < best:
+                    best = c
+            flat[base + off] = size * best
 
     def mark_dirty(self, obj: int) -> None:
         """Note that ``obj``'s replicator set changed; refreshed lazily."""
@@ -290,19 +263,19 @@ class EvictionBenefitCache:
 
     ``B(target, k)`` depends only on ``k``'s replicator set, ``k``'s
     still-waiting target set, and the (immutable) cost matrix. The
-    former is captured by the nearest-source index's per-object version
-    counter; the latter only ever *shrinks* during a build, so its size
-    uniquely identifies it along the trajectory. A cached value is
+    former is captured by the state's per-object version counter
+    (:attr:`~repro.model.state.SystemState.versions`); the latter only
+    ever *shrinks* during a build, so its size uniquely identifies it
+    along the trajectory. A cached value is
     therefore exact while both stamps match — no eviction ordering can
     change it — and recomputed (through
-    :meth:`~repro.model.nearest.NearestSourceIndex.keep_benefit`)
-    otherwise.
+    :func:`~repro.model.nearest.keep_benefit`) otherwise.
 
     Invalidation contract (holds however many deliveries land between
     two queries — GOLCF and GMC only query when a target lacks room):
 
     1. every mutation of ``obj``'s replicator set must flow through the
-       owning state (so ``index.versions[obj]`` bumps) *before* the next
+       owning state (so ``state.versions[obj]`` bumps) *before* the next
        :meth:`get` — the trusted mutators preserve this;
     2. ``waiting[obj]`` must only ever shrink, and each removal must
        happen before the next :meth:`get`. Because the version counter
@@ -317,10 +290,10 @@ class EvictionBenefitCache:
     batched-delivery recompute and the stamp-match fast path.
     """
 
-    __slots__ = ("_index", "_waiting", "_store", "_c_hits", "_c_misses")
+    __slots__ = ("_state", "_waiting", "_store", "_c_hits", "_c_misses")
 
     def __init__(self, state: SystemState, waiting: Dict[int, Set[int]]) -> None:
-        self._index = state.index
+        self._state = state
         self._waiting = waiting
         self._store: Dict[Tuple[int, int], Tuple[Tuple[int, int], float]] = {}
         registry = current_metrics()
@@ -335,7 +308,8 @@ class EvictionBenefitCache:
         if not pending:
             return 0.0
         key = (target, obj)
-        stamp = (self._index.versions[obj], len(pending))
+        state = self._state
+        stamp = (state.versions[obj], len(pending))
         hit = self._store.get(key)
         if hit is not None and hit[0] == stamp:
             if self._c_hits is not None:
@@ -343,7 +317,15 @@ class EvictionBenefitCache:
             return hit[1]
         if self._c_misses is not None:
             self._c_misses.value += 1
-        value = self._index.keep_benefit(target, obj, pending)
+        instance = state.instance
+        value = keep_benefit(
+            instance.costs,
+            instance.dummy,
+            state.holders(obj),
+            target,
+            pending,
+            float(instance.sizes[obj]),
+        )
         self._store[key] = (stamp, value)
         return value
 

@@ -7,8 +7,8 @@
   (loads, outstanding/superfluous masks, feasibility),
 * :mod:`repro.model.state` — the mutable simulation state machine with
   nearest-replicator queries,
-* :mod:`repro.model.nearest` — the vectorized incremental nearest-source
-  index those queries run on,
+* :mod:`repro.model.nearest` — the nearest / second-nearest source
+  scans those queries run on, plus the brute-force reference,
 * :mod:`repro.model.schedule` — action sequences, replay, validation and
   cost accounting,
 * :mod:`repro.model.residual` — residual-instance extraction for
@@ -25,7 +25,7 @@ from repro.model.placement import (
     placement_fits,
     replica_counts,
 )
-from repro.model.nearest import NearestSourceIndex, nearest_bruteforce
+from repro.model.nearest import nearest_bruteforce
 from repro.model.residual import is_residual_trivial, residual_instance
 from repro.model.state import SystemState
 from repro.model.schedule import Schedule, ValidationReport
@@ -43,7 +43,6 @@ __all__ = [
     "overlap_fraction",
     "placement_fits",
     "replica_counts",
-    "NearestSourceIndex",
     "nearest_bruteforce",
     "is_residual_trivial",
     "residual_instance",

@@ -96,10 +96,10 @@ class RtspInstance:
             )
         costs = np.asarray(costs, dtype=np.float64)
         if costs.size and np.isnan(costs).any():
-            # NaN poisons the adaptive query paths inconsistently: a
-            # scalar ``c < best`` scan skips NaN while a vectorized
-            # ``argmin`` selects it, so the two regimes would return
-            # different sources. Reject at the boundary instead.
+            # NaN compares false under every ``<``: the nearest-source
+            # scans would silently skip such a link while an ``argmin``
+            # selects it, and any cost total through it is NaN. Reject
+            # at the boundary instead.
             raise ConfigurationError("cost matrix must not contain NaN")
         if costs.shape == (m, m):
             costs = extend_with_dummy(costs, a=dummy_constant)

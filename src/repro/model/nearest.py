@@ -1,511 +1,105 @@
-"""Vectorized incremental nearest-source index.
+"""Nearest-source scans: the paper's ``N(i, k, X)`` and ``N2(i, k, X)``.
 
 Every cost-aware decision in the reproduction — GOLCF/GMC object
-selection, eq. 4 eviction benefits, OP1 re-pointing — reduces to the
-paper's nearest-replicator queries ``N(i, k, X)`` / ``N2(i, k, X)``:
-given the current replication state, which live replicator of ``O_k``
-(or the dummy server as fallback) is cheapest for ``S_i``, and which is
-second-cheapest?
+selection, eq. 4 eviction benefits, OP1 re-pointing — reduces to two
+queries: given the live replicator set of ``O_k``, which replicator (or
+the dummy server as fallback) is cheapest for ``S_i``, and which is
+second-cheapest? At the paper's replica counts (2–10 holders) a plain
+Python scan over the holder set answers each query; the functions below
+are that scan, and :class:`repro.model.state.SystemState` calls them on
+its own replicator sets.
 
-:class:`NearestSourceIndex` answers those queries adaptively, per
-object:
-
-* **cold objects** (never batch-queried) are answered by a scalar scan
-  over the live replicator set — at the paper's replica counts (2–10
-  holders) a Python scan is 10–40x cheaper than any NumPy round-trip,
-  so one-off queries never pay vectorization overhead;
-* **hot objects** (batch-queried through :meth:`nearest_row` /
-  :meth:`nearest_cost_row` / :meth:`keep_benefit`) get cached
-  argmin/second-argmin rows over a masked view of the cost matrix,
-  maintained *incrementally* on every ``apply``/``undo``: a new holder
-  is folded in with a constant number of vectorized top-2 inserts, and
-  a removed holder invalidates only the rows whose cached best or
-  second-best it was, rebuilding exactly those rows;
-* the full-matrix NumPy recompute (:meth:`_rebuild`) is the fallback
-  path and the single source of truth for the cache layout.
-
-Mutations on cold objects cost one integer version bump, so builders
-that only ever need single queries (RDF, GSDF, AR) pay nothing for the
-machinery.
-
-Determinism contract: candidate columns are ordered by ascending server
-index with the dummy last, and ``np.argmin`` returns the *first*
-minimum, so every tie breaks toward the lowest real server index and a
-real server always beats an equal-cost dummy — byte-identical to the
-scalar scan (see :func:`nearest_bruteforce`, kept as the executable
-reference for the property tests, which drive both regimes).
+Determinism contract, shared by every function here: ``server`` itself
+is never a candidate, candidates are ordered by ``(cost, index)``, so
+ties break toward the lowest real server index, and the dummy (the
+highest index) loses every cost tie to a real server.
+:func:`nearest_bruteforce` restates the contract independently over the
+placement column and is the reference the property tests check against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 import numpy as np
 
 from repro.model.instance import RtspInstance
-from repro.obs.context import current_metrics
 
-__all__ = ["NearestSourceIndex", "nearest_bruteforce"]
-
-
-class _IndexMetrics:
-    """Counters the index reports when a metrics registry is active.
-
-    Instruments are captured once at index construction; hot paths bump
-    their ``value`` attribute directly (no method call). When no registry
-    is active the owning index holds ``None`` instead of this holder, so
-    the disabled cost is a single attribute load + ``is None`` check.
-
-    Cache accounting follows the adaptive design: a query answered by
-    the cold scalar path is a row-cache miss (``scalar_queries`` and
-    ``cache_misses`` both bump — deliberately not building the row *is*
-    the miss policy), a query served from cached rows is a hit
-    (``cached_queries`` + ``cache_hits``), and promotions/stale gathers
-    add further ``cache_misses`` via :meth:`NearestSourceIndex._ensure`
-    / :meth:`NearestSourceIndex.nearest_cost_row`.
-    """
-
-    __slots__ = (
-        "scalar_queries",
-        "cached_queries",
-        "cache_hits",
-        "cache_misses",
-        "incremental_updates",
-        "rebuilds",
-        "partial_rebuild_rows",
-    )
-
-    def __init__(self, registry) -> None:
-        self.scalar_queries = registry.counter("nearest_index.scalar_queries")
-        self.cached_queries = registry.counter("nearest_index.cached_queries")
-        self.cache_hits = registry.counter("nearest_index.cache_hits")
-        self.cache_misses = registry.counter("nearest_index.cache_misses")
-        self.incremental_updates = registry.counter(
-            "nearest_index.incremental_updates"
-        )
-        self.rebuilds = registry.counter("nearest_index.rebuilds")
-        self.partial_rebuild_rows = registry.counter(
-            "nearest_index.partial_rebuild_rows"
-        )
+__all__ = ["keep_benefit", "nearest", "nearest_bruteforce", "nearest_pair"]
 
 
-class NearestSourceIndex:
-    """Adaptive nearest / second-nearest source cache for one state.
-
-    Parameters
-    ----------
-    instance:
-        The immutable problem instance (costs, sizes, dummy index).
-    holds:
-        The live ``M x N`` 0/1 replication matrix of the owning state.
-    replicators:
-        The live per-object replicator sets of the owning state (real
-        servers only).
-
-    The index only *reads* both structures; every mutation must be
-    reported through :meth:`add_holder` / :meth:`remove_holder` by the
-    owner (:class:`repro.model.state.SystemState` does this from
-    ``apply``/``undo``).
-    """
-
-    __slots__ = (
-        "instance",
-        "_holds",
-        "_replicators",
-        "_costs",
-        "_dummy",
-        "_rows",
-        "_best1",
-        "_best2",
-        "_cost_row",
-        "_cost_row_version",
-        "versions",
-        "_m",
-    )
-
-    def __init__(
-        self,
-        instance: RtspInstance,
-        holds: np.ndarray,
-        replicators: Sequence[Set[int]],
-    ) -> None:
-        self.instance = instance
-        self._holds = holds
-        self._replicators = replicators
-        self._costs = instance.costs
-        self._dummy = instance.dummy
-        self._rows = np.arange(instance.num_servers + 1)
-        #: obj -> per-server nearest source (self excluded, dummy fallback)
-        self._best1: Dict[int, np.ndarray] = {}
-        #: obj -> per-server second-nearest (additionally excludes best1)
-        self._best2: Dict[int, np.ndarray] = {}
-        #: obj -> cached ``costs[i, best1[i]]`` gather, stamped by version
-        self._cost_row: Dict[int, np.ndarray] = {}
-        self._cost_row_version: Dict[int, int] = {}
-        #: Per-object mutation counters, bumped on *every* holder change
-        #: (cached or not). Consumers can compare stamps to skip
-        #: recomputing derived values for untouched objects.
-        self.versions: List[int] = [0] * instance.num_objects
-        registry = current_metrics()
-        self._m = None if registry is None else _IndexMetrics(registry)
-
-    # ------------------------------------------------------------------
-    # cache construction (hot objects)
-    # ------------------------------------------------------------------
-    def _candidates(self, obj: int) -> np.ndarray:
-        """Holder indices ascending, dummy appended last."""
-        holders = np.flatnonzero(self._holds[:, obj])
-        return np.append(holders, self.instance.dummy)
-
-    def _rebuild(self, obj: int, rows: np.ndarray = None) -> None:
-        """Recompute best1/best2 for ``rows`` (default: all) of ``obj``.
-
-        One masked argmin per rank: candidate columns are in ascending
-        index order (dummy last), each holder's own row masks its own
-        column (a server never sources from itself), and the first
-        minimum wins — reproducing the scalar tie-breaking exactly.
-        """
-        m = self._m
-        if m is not None:
-            if rows is None:
-                m.rebuilds.value += 1
-            else:
-                m.partial_rebuild_rows.value += len(rows)
-        cand = self._candidates(obj)
-        holders = cand[:-1]
-        if rows is None:
-            rows = self._rows
-            sub = self._costs[:, cand].copy()
-            if holders.size:
-                sub[holders, np.arange(holders.size)] = np.inf
-        else:
-            sub = self._costs[np.ix_(rows, cand)]
-            # The dummy row (== instance.dummy) can appear in ``rows``
-            # but has no entry in the placement matrix and never holds a
-            # maskable candidate column.
-            held = np.zeros(len(rows), dtype=bool)
-            real = rows < self.instance.dummy
-            held[real] = self._holds[rows[real], obj].astype(bool)
-            if held.any():
-                sub[held, np.searchsorted(holders, rows[held])] = np.inf
-        pos1 = np.argmin(sub, axis=1)
-        best1 = cand[pos1]
-        sub[np.arange(len(rows)), pos1] = np.inf
-        best2 = cand[np.argmin(sub, axis=1)]
-        if len(rows) == len(self._rows):
-            self._best1[obj] = best1
-            self._best2[obj] = best2
-        else:
-            self._best1[obj][rows] = best1
-            self._best2[obj][rows] = best2
-
-    def _ensure(self, obj: int) -> None:
-        if obj not in self._best1:
-            if self._m is not None:
-                self._m.cache_misses.value += 1
-            self._rebuild(obj)
-        elif self._m is not None:
-            self._m.cache_hits.value += 1
-
-    def is_cached(self, obj: int) -> bool:
-        """Whether ``obj`` currently has incrementally-maintained rows."""
-        return obj in self._best1
-
-    def holders(self, obj: int) -> Set[int]:
-        """Live real-server replicator set of ``obj`` (treat as read-only)."""
-        return self._replicators[obj]
-
-    # ------------------------------------------------------------------
-    # incremental maintenance (called by the owning state)
-    # ------------------------------------------------------------------
-    def add_holder(self, obj: int, server: int) -> None:
-        """A real ``server`` now replicates ``obj`` (after a transfer or
-        an undone deletion). Constant-size top-2 insert on cached rows;
-        a version bump otherwise."""
-        self.versions[obj] += 1
-        best1 = self._best1.get(obj)
-        if best1 is None:
-            return
-        if self._m is not None:
-            self._m.incremental_updates.value += 1
-        best2 = self._best2[obj]
-        c_new = self._costs[:, server]
-        cb1 = self._costs[self._rows, best1]
-        beats1 = (c_new < cb1) | ((c_new == cb1) & (server < best1))
-        cb2 = self._costs[self._rows, best2]
-        beats2 = ~beats1 & ((c_new < cb2) | ((c_new == cb2) & (server < best2)))
-        # A server is never a candidate for its own row.
-        beats1[server] = False
-        beats2[server] = False
-        best2[beats1] = best1[beats1]
-        best1[beats1] = server
-        best2[beats2] = server
-
-    def remove_holder(self, obj: int, server: int) -> None:
-        """``server`` no longer replicates ``obj`` (after a deletion or an
-        undone transfer). Only rows whose cached best or second-best was
-        the departing holder are rebuilt."""
-        self.versions[obj] += 1
-        best1 = self._best1.get(obj)
-        if best1 is None:
-            return
-        if self._m is not None:
-            self._m.incremental_updates.value += 1
-        affected = np.flatnonzero(
-            (best1 == server) | (self._best2[obj] == server)
-        )
-        if affected.size:
-            self._rebuild(obj, rows=affected)
-
-    def invalidate(self, obj: int = None) -> None:
-        """Drop cached rows (all objects when ``obj`` is ``None``); the
-        next batch query falls back to a full recompute."""
-        if obj is None:
-            self._best1.clear()
-            self._best2.clear()
-            self._cost_row.clear()
-            self._cost_row_version.clear()
-            self.versions = [v + 1 for v in self.versions]
-        else:
-            self._best1.pop(obj, None)
-            self._best2.pop(obj, None)
-            self._cost_row.pop(obj, None)
-            self._cost_row_version.pop(obj, None)
-            self.versions[obj] += 1
-
-    # ------------------------------------------------------------------
-    # scalar queries (the paper's N / N2) — adaptive
-    # ------------------------------------------------------------------
-    def nearest(self, server: int, obj: int, exclude: Iterable[int] = ()) -> int:
-        """Cheapest current source of ``obj`` for ``server``.
-
-        ``server`` itself is never a candidate, the dummy is the
-        fallback (and loses cost ties to any real server), and
-        real-server ties break toward the lowest index.
-        """
-        best1 = self._best1.get(obj)
-        m = self._m
-        if best1 is None:
-            if m is not None:
-                m.scalar_queries.value += 1
-                m.cache_misses.value += 1
-            if exclude:
-                return _scalar_nearest(
-                    self.instance, self._replicators[obj], server, obj, exclude
-                )
-            # Cold fast path: one scan over the live replicator set.
-            row = self._costs[server]
-            best = self._dummy
-            best_cost = row[best]
-            for j in self._replicators[obj]:
-                if j == server:
-                    continue
-                c = row[j]
-                if c < best_cost or (c == best_cost and j < best):
-                    best, best_cost = j, c
-            return best
-        if m is not None:
-            m.cached_queries.value += 1
-            m.cache_hits.value += 1
-        first = int(best1[server])
-        if not exclude:
-            return first
-        banned = frozenset(exclude)
-        if first not in banned:
-            return first
-        second = int(self._best2[obj][server])
-        if second not in banned:
-            return second
-        return _scalar_nearest(
-            self.instance, self._replicators[obj], server, obj, banned
-        )
-
-    def nearest_pair(self, server: int, obj: int) -> Tuple[int, int]:
-        """``(N(i,k,X), N2(i,k,X))`` with dummy degradation."""
-        best1 = self._best1.get(obj)
-        m = self._m
-        if best1 is None:
-            if m is not None:
-                m.scalar_queries.value += 1
-                m.cache_misses.value += 1
-            # Cold fast path: one-pass top-2 over the live replicator
-            # set, ordered lexicographically by (cost, index) — the
-            # dummy's maximal index makes it lose every cost tie.
-            row = self._costs[server]
-            dummy = self._dummy
-            c1 = c2 = row[dummy]
-            i1 = i2 = dummy
-            for j in self._replicators[obj]:
-                if j == server:
-                    continue
-                c = row[j]
-                if c < c1 or (c == c1 and j < i1):
-                    c2, i2 = c1, i1
-                    c1, i1 = c, j
-                elif c < c2 or (c == c2 and j < i2):
-                    c2, i2 = c, j
-            if i1 == dummy:
-                return dummy, dummy
-            return i1, i2
-        if m is not None:
-            m.cached_queries.value += 1
-            m.cache_hits.value += 1
-        first = int(best1[server])
-        if first == self._dummy:
-            return first, first
-        return first, int(self._best2[obj][server])
-
-    def nearest_cost(self, server: int, obj: int) -> float:
-        """Per-unit cost to the nearest current source of ``obj``."""
-        return float(self._costs[server, self.nearest(server, obj)])
-
-    # ------------------------------------------------------------------
-    # batch queries — promote the object to cached ("hot")
-    # ------------------------------------------------------------------
-    def nearest_row(self, obj: int) -> np.ndarray:
-        """Per-server nearest-source vector (read-only view)."""
-        self._ensure(obj)
-        return self._best1[obj]
-
-    def second_row(self, obj: int) -> np.ndarray:
-        """Per-server second-nearest vector (read-only view).
-
-        Only meaningful where ``nearest_row(obj) != dummy``.
-        """
-        self._ensure(obj)
-        return self._best2[obj]
-
-    def nearest_cost_row(self, obj: int) -> np.ndarray:
-        """Per-server unit cost to the nearest source, as one vector.
-
-        The gather is cached and stamped with the object's version, so
-        repeated queries between mutations are free.
-        """
-        version = self.versions[obj]
-        if self._cost_row_version.get(obj) != version:
-            self._ensure(obj)
-            self._cost_row[obj] = self._costs[self._rows, self._best1[obj]]
-            self._cost_row_version[obj] = version
-        elif self._m is not None:
-            self._m.cache_hits.value += 1
-        return self._cost_row[obj]
-
-    def keep_benefit(
-        self, server: int, obj: int, waiting: Iterable[int]
-    ) -> float:
-        """GOLCF deletion benefit ``B_ik`` (paper eq. 4).
-
-        The cost every still-waiting target of ``obj`` whose nearest
-        source is ``server`` would additionally pay by falling back to
-        its second-nearest source. Vectorized over the waiting set for
-        hot objects, scalar otherwise.
-        """
-        best1 = self._best1.get(obj)
-        size = float(self.instance.sizes[obj])
-        m = self._m
-        if m is not None:
-            if best1 is None:
-                m.scalar_queries.value += 1
-                m.cache_misses.value += 1
-            else:
-                m.cached_queries.value += 1
-                m.cache_hits.value += 1
-        if best1 is None:
-            # Cold fast path: fused one-pass top-2 per waiting target
-            # (same (cost, index) ordering as :meth:`nearest_pair`),
-            # accumulating only targets currently served by ``server``.
-            costs = self._costs
-            dummy = self._dummy
-            holders = self._replicators[obj]
-            total = 0.0
-            for t in waiting:
-                row = costs[t]
-                c1 = c2 = row[dummy]
-                i1 = i2 = dummy
-                for j in holders:
-                    if j == t:
-                        continue
-                    c = row[j]
-                    if c < c1 or (c == c1 and j < i1):
-                        c2, i2 = c1, i1
-                        c1, i1 = c, j
-                    elif c < c2 or (c == c2 and j < i2):
-                        c2, i2 = c, j
-                if i1 == server:
-                    total += size * float(c2 - c1)
-            return total
-        targets = np.fromiter(waiting, dtype=np.intp)
-        if targets.size == 0:
-            return 0.0
-        served = targets[best1[targets] == server]
-        if served.size == 0:
-            return 0.0
-        second = self._best2[obj][served]
-        # Bit-identical to the cold path above: multiply each term by
-        # ``size`` *before* summing and accumulate sequentially in
-        # waiting-set order (``served`` preserves it). A vectorized
-        # ``size * np.sum(...)`` rounds differently in the last ulp on
-        # fractional costs, and that ulp can flip an eviction-victim
-        # tie — the adaptive hot/cold switch must never change the
-        # schedule.
-        terms = size * (
-            self._costs[served, second] - self._costs[served, server]
-        )
-        total = 0.0
-        for term in terms.tolist():
-            total += term
-        return total
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def copy(
-        self, holds: np.ndarray, replicators: Sequence[Set[int]]
-    ) -> "NearestSourceIndex":
-        """Duplicate for a copied state backed by ``holds``/``replicators``."""
-        dup = object.__new__(NearestSourceIndex)
-        dup.instance = self.instance
-        dup._holds = holds
-        dup._replicators = replicators
-        dup._costs = self._costs
-        dup._dummy = self._dummy
-        dup._rows = self._rows
-        dup._best1 = {k: v.copy() for k, v in self._best1.items()}
-        dup._best2 = {k: v.copy() for k, v in self._best2.items()}
-        dup._cost_row = {k: v.copy() for k, v in self._cost_row.items()}
-        dup._cost_row_version = dict(self._cost_row_version)
-        dup.versions = list(self.versions)
-        dup._m = self._m  # counters are process-wide; copies share them
-        return dup
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"NearestSourceIndex(hot_objects={len(self._best1)}, "
-            f"objects={self.instance.num_objects})"
-        )
-
-
-# ----------------------------------------------------------------------
-# scalar reference (cold-object fast path and property-test oracle)
-# ----------------------------------------------------------------------
-def _scalar_nearest(
-    instance: RtspInstance,
+def nearest(
+    row: np.ndarray,
+    dummy: int,
     holders: Iterable[int],
     server: int,
-    obj: int,
-    exclude: Iterable[int],
+    exclude: Iterable[int] = (),
 ) -> int:
-    costs_row = instance.costs[server]
-    banned = set(exclude)
-    banned.add(server)
-    best, best_cost = instance.dummy, float(costs_row[instance.dummy])
+    """Cheapest source for ``server`` among ``holders`` minus ``exclude``.
+
+    ``row`` is ``server``'s row of the dummy-extended cost matrix; the
+    dummy is returned when no real candidate remains.
+    """
+    if exclude:
+        banned = frozenset(exclude)
+        holders = [j for j in holders if j not in banned]
+    best = dummy
+    best_cost = row[dummy]
     for j in holders:
-        if j in banned:
+        if j == server:
             continue
-        c = float(costs_row[j])
+        c = row[j]
         if c < best_cost or (c == best_cost and j < best):
             best, best_cost = j, c
     return best
+
+
+def nearest_pair(
+    row: np.ndarray, dummy: int, holders: Iterable[int], server: int
+) -> Tuple[int, int]:
+    """``(N(i,k,X), N2(i,k,X))`` in one pass over ``holders``.
+
+    The second entry degrades to the dummy when fewer than two real
+    candidates exist, and both do when there is none.
+    """
+    c1 = c2 = row[dummy]
+    i1 = i2 = dummy
+    for j in holders:
+        if j == server:
+            continue
+        c = row[j]
+        if c < c1 or (c == c1 and j < i1):
+            c2, i2 = c1, i1
+            c1, i1 = c, j
+        elif c < c2 or (c == c2 and j < i2):
+            c2, i2 = c, j
+    if i1 == dummy:
+        return dummy, dummy
+    return i1, i2
+
+
+def keep_benefit(
+    costs: np.ndarray,
+    dummy: int,
+    holders: Set[int],
+    server: int,
+    waiting: Iterable[int],
+    size: float,
+) -> float:
+    """GOLCF deletion benefit ``B_ik`` (paper eq. 4).
+
+    The cost every still-waiting target whose nearest source is
+    ``server`` would additionally pay by falling back to its
+    second-nearest source. Terms are accumulated in ``waiting`` order,
+    each multiplied by ``size`` before it is added.
+    """
+    total = 0.0
+    for t in waiting:
+        row = costs[t]
+        first, second = nearest_pair(row, dummy, holders, t)
+        if first == server:
+            total += size * float(row[second] - row[first])
+    return total
 
 
 def nearest_bruteforce(
@@ -515,11 +109,13 @@ def nearest_bruteforce(
     obj: int,
     exclude: Iterable[int] = (),
 ) -> int:
-    """Reference ``N(i,k,X)``: plain scalar scan over the holder column.
-
-    This is the semantics contract the index is tested against: self
-    never a candidate, dummy fallback losing ties to real servers, ties
-    between real servers to the lowest index.
-    """
-    holders = [int(j) for j in np.flatnonzero(holds[:, obj])]
-    return _scalar_nearest(instance, holders, server, obj, exclude)
+    """Reference ``N(i,k,X)``: the ``(cost, index)`` minimum over the
+    placement column, with the dummy as the always-present candidate."""
+    banned = set(exclude)
+    banned.add(server)
+    row = instance.costs[server]
+    candidates = [
+        int(j) for j in np.flatnonzero(holds[:, obj]) if int(j) not in banned
+    ]
+    candidates.append(instance.dummy)
+    return min(candidates, key=lambda j: (float(row[j]), j))

@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
-from repro.model.nearest import NearestSourceIndex
+from repro.model.nearest import nearest as _nearest
+from repro.model.nearest import nearest_pair as _nearest_pair
 from repro.util.errors import InvalidActionError
 
 #: Numerical slack for storage comparisons (sizes are usually integers,
@@ -90,9 +91,10 @@ class SystemState:
         self._replicators: List[Set[int]] = [
             set(np.flatnonzero(self._holds[:, k]).tolist()) for k in range(n)
         ]
-        self._index = NearestSourceIndex(
-            instance, self._holds, self._replicators
-        )
+        #: Per-object mutation counters, bumped on every replicator-set
+        #: change; consumers compare stamps to skip recomputing values
+        #: derived from an untouched object.
+        self.versions: List[int] = [0] * n
 
     # ------------------------------------------------------------------
     # free-space ledger (exact; see __init__)
@@ -161,10 +163,9 @@ class SystemState:
     # ------------------------------------------------------------------
     # nearest-replicator queries (paper's N(i,k,X) and N2(i,k,X))
     # ------------------------------------------------------------------
-    @property
-    def index(self) -> NearestSourceIndex:
-        """The incremental nearest-source index backing the queries below."""
-        return self._index
+    def holders(self, obj: int) -> Set[int]:
+        """Live replicator set of ``obj`` (real servers; treat as read-only)."""
+        return self._replicators[obj]
 
     def nearest(
         self, server: int, obj: int, exclude: Iterable[int] = ()
@@ -175,7 +176,13 @@ class SystemState:
         exists. ``server`` itself is never a candidate. Ties break toward
         the lowest server index for determinism.
         """
-        return self._index.nearest(server, obj, exclude)
+        return _nearest(
+            self.instance.costs[server],
+            self._dummy,
+            self._replicators[obj],
+            server,
+            exclude,
+        )
 
     def nearest_pair(self, server: int, obj: int) -> Tuple[int, int]:
         """``(N(i,k,X), N2(i,k,X))``: nearest and second-nearest sources.
@@ -183,20 +190,16 @@ class SystemState:
         Either entry degrades to the dummy index when fewer than one / two
         real replicators exist.
         """
-        return self._index.nearest_pair(server, obj)
+        return _nearest_pair(
+            self.instance.costs[server],
+            self._dummy,
+            self._replicators[obj],
+            server,
+        )
 
     def nearest_cost(self, server: int, obj: int) -> float:
         """Per-unit cost to the nearest current source of ``obj``."""
-        return self._index.nearest_cost(server, obj)
-
-    def nearest_costs(self, obj: int) -> np.ndarray:
-        """Per-server unit cost to the nearest current source of ``obj``.
-
-        One cached vector over every possible target (index ``i`` is the
-        cost ``l_{i,N(i,k,X)}``); recomputed lazily after mutations of
-        ``obj``'s replicator set. Treat as read-only.
-        """
-        return self._index.nearest_cost_row(obj)
+        return float(self.instance.costs[server, self.nearest(server, obj)])
 
     # ------------------------------------------------------------------
     # action semantics
@@ -275,13 +278,13 @@ class SystemState:
         check runs, so the caller must guarantee the paper's transfer
         preconditions (a live source exists, ``target`` lacks the replica
         and has room). The state mutation — including the exact
-        free-space ledger and the nearest-source index — is identical to
+        free-space ledger and the version counter — is identical to
         :meth:`apply`.
         """
         self._holds[target, obj] = 1
         self._free_add(target, obj, -1)
         self._replicators[obj].add(target)
-        self._index.add_holder(obj, target)
+        self.versions[obj] += 1
 
     def apply_delete_trusted(self, server: int, obj: int) -> None:
         """Record a deletion at ``server`` without validation.
@@ -292,7 +295,7 @@ class SystemState:
         self._holds[server, obj] = 0
         self._free_add(server, obj, 1)
         self._replicators[obj].discard(server)
-        self._index.remove_holder(obj, server)
+        self.versions[obj] += 1
 
     def _check_undoable(self, action: Action, mutated_server: int) -> None:
         """Shared bounds/dummy guard for both ``undo`` branches.
@@ -381,7 +384,7 @@ class SystemState:
             dup._free_comp = self._free_comp.copy()
             dup._free_raw = self._free_raw.copy()
         dup._replicators = [set(s) for s in self._replicators]
-        dup._index = self._index.copy(dup._holds, dup._replicators)
+        dup.versions = list(self.versions)
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,6 +1,6 @@
 """EvictionBenefitCache invalidation contract (see its docstring).
 
-The cache keys eq. 4 benefits on ``(index.versions[obj],
+The cache keys eq. 4 benefits on ``(state.versions[obj],
 len(waiting[obj]))``. The contract: every replicator-set mutation flows
 through the state before the next ``get``, and waiting sets only ever
 shrink. Under those rules a stamp can never repeat with different
@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.builders.common import EvictionBenefitCache
 from repro.model.instance import RtspInstance
+from repro.model.nearest import keep_benefit
 from repro.model.state import SystemState
 from repro.obs.context import use_metrics
 from repro.obs.metrics import MetricsRegistry
@@ -36,7 +37,15 @@ def _instance() -> RtspInstance:
 
 
 def _fresh_benefit(state, target, obj, waiting) -> float:
-    return state.index.keep_benefit(target, obj, waiting[obj])
+    inst = state.instance
+    return keep_benefit(
+        inst.costs,
+        inst.dummy,
+        state.holders(obj),
+        target,
+        waiting[obj],
+        float(inst.sizes[obj]),
+    )
 
 
 def test_batched_deliveries_invalidate_before_next_get():

@@ -137,7 +137,7 @@ class TestObservabilityFlags:
         snap = json.loads(metrics.read_text())
         assert snap["format"] == "rtsp-metrics/1"
         assert snap["counters"]["builder.candidates_scanned"] > 0
-        assert snap["counters"]["nearest_index.cache_misses"] > 0
+        assert snap["counters"]["builder.transfers"] > 0
         assert snap["histograms"]["executor.queue_depth"]["count"] > 0
 
     def test_parser_obs_defaults(self):

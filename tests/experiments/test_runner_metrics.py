@@ -17,8 +17,7 @@ from tests.experiments.test_runner import TINY, tiny_spec
 _KEY_COUNTERS = (
     "builder.transfers",
     "builder.candidates_scanned",
-    "nearest_index.scalar_queries",
-    "nearest_index.cache_misses",
+    "builder.selector_queries",
     "executor.transfers_started",
 )
 

@@ -55,6 +55,19 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             make(sizes=(0.0, 1.0))
 
+    def test_nan_costs_rejected_at_instance_boundary(self):
+        # A NaN link compares false under every ``<``: a nearest-source
+        # scan would skip it while an ``argmin`` would select it.
+        costs = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(ConfigurationError, match="NaN"):
+            RtspInstance.create(
+                sizes=[1.0],
+                capacities=[2.0, 2.0],
+                costs=costs,
+                x_old=np.array([[1], [0]], dtype=np.int8),
+                x_new=np.array([[0], [1]], dtype=np.int8),
+            )
+
 
 class TestFeasibility:
     def test_infeasible_old_scheme(self):

@@ -1,16 +1,14 @@
-"""Property-based tests: the nearest-source index vs. brute force.
+"""Property-based tests: the nearest-source scans vs. brute force.
 
-The index answers the paper's ``N(i,k,X)`` / ``N2(i,k,X)`` queries in two
-regimes — scalar scans for cold objects and incrementally-maintained
-cached argmin rows for hot (batch-queried) objects. Both must agree with
-:func:`repro.model.nearest.nearest_bruteforce`, the plain scalar scan
-over the placement column, after *any* interleaving of transfers,
-deletions, and undos. The walk below drives one cold and one hot state
-through identical random action sequences and compares every (server,
-object) query against the oracle at every step, which exercises the
-vectorized top-2 insert (``add_holder``), the affected-row partial
-rebuild (``remove_holder``), dummy degradation, and lowest-index
-tie-breaking (cost ties are common since link weights are small ints).
+:class:`~repro.model.state.SystemState` answers the paper's
+``N(i,k,X)`` / ``N2(i,k,X)`` queries by scanning its live replicator
+sets. Every answer must agree with
+:func:`repro.model.nearest.nearest_bruteforce`, the ``(cost, index)``
+minimum over the placement column, after *any* interleaving of
+transfers, deletions and undos. The walk below checks every (server,
+object) query at every step, which covers dummy degradation and
+lowest-index tie-breaking (cost ties are common since link weights are
+small ints).
 """
 
 import numpy as np
@@ -18,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.actions import Delete, Transfer
-from repro.model.nearest import nearest_bruteforce
+from repro.model.nearest import keep_benefit, nearest_bruteforce
 from repro.model.state import SystemState
 from tests.properties.test_schedule_properties import COMMON, instances
 
@@ -26,13 +24,10 @@ from tests.properties.test_schedule_properties import COMMON, instances
 def _assert_matches_bruteforce(state: SystemState) -> None:
     inst = state.instance
     holds = state.placement()
-    index = state.index
     for obj in range(inst.num_objects):
-        cached = index.is_cached(obj)
         for server in range(inst.num_servers):
             ref = nearest_bruteforce(inst, holds, server, obj)
-            got = state.nearest(server, obj)
-            assert got == ref, (server, obj, got, ref)
+            assert state.nearest(server, obj) == ref, (server, obj, ref)
             assert state.nearest_cost(server, obj) == float(
                 inst.costs[server, ref]
             )
@@ -46,11 +41,6 @@ def _assert_matches_bruteforce(state: SystemState) -> None:
                 )
                 # Explicit exclusion must agree with the oracle too.
                 assert state.nearest(server, obj, exclude=(ref,)) == second
-            if cached:
-                # Batch API over the same cached rows.
-                assert float(index.nearest_cost_row(obj)[server]) == float(
-                    inst.costs[server, ref]
-                )
 
 
 def _random_valid_action(state: SystemState, rng):
@@ -73,47 +63,50 @@ def _random_valid_action(state: SystemState, rng):
 @given(inst=instances(), seed=st.integers(0, 2**31 - 1))
 def test_index_matches_bruteforce_under_random_mutation(inst, seed):
     rng = np.random.default_rng(seed)
-    cold = SystemState(inst)  # scalar-scan regime throughout
-    hot = SystemState(inst)  # cached rows, incrementally maintained
-    for obj in range(inst.num_objects):
-        hot.index.nearest_row(obj)
-        assert hot.index.is_cached(obj)
-    _assert_matches_bruteforce(cold)
-    _assert_matches_bruteforce(hot)
+    state = SystemState(inst)
+    _assert_matches_bruteforce(state)
     for _ in range(25):
-        action = _random_valid_action(cold, rng)
+        action = _random_valid_action(state, rng)
         if action is None:
             break
-        cold.apply(action)
-        hot.apply(action)
+        state.apply(action)
         if rng.random() < 0.3:
-            # Undo must route through the same index maintenance.
-            cold.undo(action)
-            hot.undo(action)
-        _assert_matches_bruteforce(cold)
-        _assert_matches_bruteforce(hot)
-    # Incremental maintenance never silently dropped a cache.
-    assert all(
-        hot.index.is_cached(obj) for obj in range(inst.num_objects)
-    )
+            state.undo(action)
+        _assert_matches_bruteforce(state)
+
+
+def _eq4_reference(state: SystemState, server, obj, waiting) -> float:
+    """Paper eq. 4 from first principles: each waiting target whose
+    nearest source is ``server`` pays the gap to its second source."""
+    inst = state.instance
+    holds = state.placement()
+    size = float(inst.sizes[obj])
+    total = 0.0
+    for t in waiting:
+        first = nearest_bruteforce(inst, holds, t, obj)
+        if first != server:
+            continue
+        second = nearest_bruteforce(inst, holds, t, obj, exclude=(first,))
+        total += size * float(inst.costs[t, second] - inst.costs[t, first])
+    return total
 
 
 @settings(**COMMON)
 @given(inst=instances(), seed=st.integers(0, 2**31 - 1))
 def test_keep_benefit_matches_scalar_reference(inst, seed):
-    """Eq. 4 benefits agree between the hot (vectorized) and cold
-    (scalar) paths for random waiting sets."""
+    """Eq. 4 benefits agree with the brute-force reference for random
+    waiting sets."""
     rng = np.random.default_rng(seed)
-    cold = SystemState(inst)
-    hot = cold.copy()
-    for obj in range(inst.num_objects):
-        hot.index.nearest_row(obj)
+    state = SystemState(inst)
     for obj in range(inst.num_objects):
         n = int(rng.integers(0, inst.num_servers + 1))
         waiting = [
             int(j) for j in rng.choice(inst.num_servers, size=n, replace=False)
         ]
+        size = float(inst.sizes[obj])
         for server in range(inst.num_servers):
-            a = cold.index.keep_benefit(server, obj, waiting)
-            b = hot.index.keep_benefit(server, obj, waiting)
-            assert a == b, (server, obj, waiting, a, b)
+            got = keep_benefit(
+                inst.costs, inst.dummy, state.holders(obj), server, waiting, size
+            )
+            ref = _eq4_reference(state, server, obj, waiting)
+            assert got == ref, (server, obj, waiting, got, ref)
