@@ -14,7 +14,7 @@ The search walks valid action sequences depth-first with four exact
    differs. Branching on any source other than the currently nearest one
    is therefore dominated, so each missing replica contributes exactly
    one transfer candidate per node (ties break toward the lowest server
-   index, matching :class:`~repro.model.nearest.NearestSourceIndex`).
+   index, matching :func:`~repro.model.nearest.nearest`).
 2. **Deletions-first canonicalization** — deletions are free, so any
    schedule can be rewritten to delete a superfluous replica either
    right before a transfer *into the same server* (to make room) or at

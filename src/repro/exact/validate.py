@@ -2,7 +2,7 @@
 
 :func:`check_invariants` re-derives everything a valid schedule must
 satisfy from the raw instance arrays — plain Python floats and sets, no
-:class:`~repro.model.state.SystemState`, no cached nearest-source index —
+:class:`~repro.model.state.SystemState`, no shared nearest-source scan —
 so it can serve as a *differential oracle* against the model layer: a bug
 in either implementation shows up as a disagreement (see the hypothesis
 property tests in ``tests/properties/test_exact_properties.py``).

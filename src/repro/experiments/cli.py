@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "collect observability counters (nearest-index cache, builder "
-            "scans, executor queues, repair rounds) and write an "
+            "collect observability counters (builder scans and benefit "
+            "cache, executor queues, repair rounds) and write an "
             "rtsp-metrics/1 snapshot to PATH"
         ),
     )

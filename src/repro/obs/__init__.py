@@ -10,8 +10,8 @@ the build → simulate → repair pipeline. Five pillars:
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
   of counters/gauges/histograms whose snapshots merge associatively, so
   parallel figure runs aggregate worker statistics instead of dropping
-  them. Wired into the nearest-source index, the builders' selector and
-  benefit caches, both simulators, and the repair engine.
+  them. Wired into the builders' action log, selector and benefit
+  cache, both simulators, and the repair engine.
 * :mod:`repro.obs.events` — a live structured event stream
   (``rtsp-events/1``: shard lifecycle, builder heartbeats, repair rounds,
   invariant failures) with worker-fragment merging, an ``on_event``

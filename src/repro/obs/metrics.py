@@ -136,7 +136,7 @@ class MetricsRegistry:
 
     Instruments are created on first use and keep their identity for the
     registry's lifetime, so hot code can cache them. Names are free-form
-    dotted strings (``"nearest_index.cache_hits"``).
+    dotted strings (``"builder.benefit_cache_hits"``).
     """
 
     def __init__(self) -> None:
