@@ -6,8 +6,7 @@ import pytest
 from repro.analysis.bounds import universal_lower_bound
 from repro.core import build_pipeline
 from repro.exact import BranchAndBoundSolver, SolverBudget, solve_optimal
-from repro.model.instance import RtspInstance
-from tests.exact.test_solver import spare_server_swap_instance, swap_instance
+from tests.exact.test_solver import spare_server_swap_instance
 
 
 class TestOptimality:
@@ -32,14 +31,6 @@ class TestOptimality:
         result = solve_optimal(fig3)
         assert result.cost >= universal_lower_bound(fig3) - 1e-9
 
-    def test_trivial_instance(self):
-        x = np.array([[1]], dtype=np.int8)
-        inst = RtspInstance.create([1.0], [1.0], np.zeros((1, 1)), x, x)
-        result = solve_optimal(inst)
-        assert result.proved_optimal
-        assert result.cost == 0.0
-        assert len(result.schedule) == 0
-
     def test_single_transfer_instance(self, tiny_instance):
         result = solve_optimal(tiny_instance)
         assert result.proved_optimal
@@ -48,16 +39,6 @@ class TestOptimality:
 
 
 class TestSwapScenarios:
-    def test_swap_needs_one_dummy_without_spare(self):
-        inst = swap_instance()
-        result = solve_optimal(inst)
-        assert result.proved_optimal
-        assert result.schedule.validate(inst).ok
-        # optimal: break the cycle once via the dummy, cascade the rest:
-        # D(0,O0), T(0,O1,S1) real, D(1,O1), T(1,O0,dummy)
-        assert result.schedule.count_dummy_transfers(inst) == 1
-        assert result.cost == pytest.approx(2.0 + 3.0)
-
     def test_swap_with_spare_server_avoids_dummies(self):
         # add an empty third server: staging beats the dummy
         inst = spare_server_swap_instance()

@@ -71,7 +71,7 @@ class TestOptimality:
         assert result.schedule.validate(fig3).ok
 
     @pytest.mark.parametrize("name", list(PINNED_OPTIMA))
-    def test_matches_legacy_exact_solver(self, name):
+    def test_matches_pinned_optima(self, name):
         factory, allow_staging, optimum = PINNED_OPTIMA[name]
         result = solve_optimal(factory(), allow_staging=allow_staging)
         assert result.status == PROVED_OPTIMAL
@@ -99,6 +99,7 @@ class TestOptimality:
         instance = swap_instance(cost=2.0)
         result = solve_optimal(instance)
         assert result.proved_optimal
+        assert result.schedule.validate(instance).ok
         assert result.cost == pytest.approx(5.0)
         assert result.schedule.count_dummy_transfers(instance) == 1
 
