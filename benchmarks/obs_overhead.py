@@ -15,11 +15,11 @@ and cache warmth cancel out:
 
 * ``disabled`` — no observability context at all (the production path);
 * ``null``     — :data:`repro.obs.NULL_TRACER` explicitly installed,
-  metrics/events off: must be indistinguishable from ``disabled``;
-* ``full``     — live :class:`~repro.obs.Tracer`,
-  :class:`~repro.obs.MetricsRegistry` and
-  :class:`~repro.obs.EventStream`, with Prometheus and OTLP export of
-  the captured telemetry *included in the timing*.
+  metrics off: must be indistinguishable from ``disabled``;
+* ``full``     — live :class:`~repro.obs.Tracer` (spans and events) and
+  :class:`~repro.obs.MetricsRegistry`, with the ``rtsp-trace/2`` lines
+  and Prometheus and OTLP export of the captured telemetry *included in
+  the timing*.
 
 Reported per tier (written to ``benchmarks/results/BENCH_obs.json``):
 
@@ -55,7 +55,6 @@ from scale_bench import synth_instance
 from repro.core.base import get_builder
 from repro.core.pipeline import build_pipeline
 from repro.obs import (
-    EventStream,
     MetricsRegistry,
     NULL_TRACER,
     Tracer,
@@ -120,15 +119,14 @@ def _timed_full(fn) -> float:
     """One fully-observed run: record everything, then export it."""
     tracer = Tracer()
     registry = MetricsRegistry()
-    stream = EventStream()
     start = time.perf_counter()
-    with observed(tracer=tracer, metrics=registry, events=stream):
+    with observed(tracer=tracer, metrics=registry):
         fn()
     snapshot = registry.snapshot()
     prometheus_text(snapshot)
     metrics_to_otlp(snapshot)
     spans_to_otlp(tracer.spans)
-    stream.to_lines()
+    tracer.to_lines()
     return time.perf_counter() - start
 
 

@@ -28,12 +28,12 @@ from repro.model.instance import RtspInstance
 from repro.model.nearest import keep_benefit
 from repro.model.schedule import Schedule
 from repro.model.state import CAPACITY_EPS, SystemState
-from repro.obs.context import current_events, current_metrics
+from repro.obs.context import current_metrics, current_tracer
 
 from repro.core.base import shuffled_pairs
 
 #: Transfers between ``builder.progress`` heartbeat events. A count
-#: boundary, not a clock, so the event stream stays deterministic.
+#: boundary, not a clock, so the trace stays deterministic.
 _HEARTBEAT_EVERY = 256
 
 
@@ -50,9 +50,8 @@ class ActionLog:
     first principles (``tests/properties/test_builder_properties.py``,
     the exact differential suite).
 
-    Metrics instruments and the event stream are captured once per
-    build, so with observability off each action pays one ``is None``
-    test.
+    Metrics instruments and the tracer are captured once per build,
+    so with observability off each action pays one ``is None`` test.
     """
 
     __slots__ = (
@@ -63,7 +62,7 @@ class ActionLog:
         "_transfers",
         "_dummy_transfers",
         "_evictions",
-        "_events",
+        "_tracer",
         "_delivered",
     )
 
@@ -80,7 +79,8 @@ class ActionLog:
             self._transfers = registry.counter("builder.transfers")
             self._dummy_transfers = registry.counter("builder.dummy_transfers")
             self._evictions = registry.counter("builder.evictions")
-        self._events = current_events()
+        tracer = current_tracer()
+        self._tracer = tracer if tracer.enabled else None
         self._delivered = 0
 
     def transfer(self, target: int, obj: int) -> None:
@@ -94,10 +94,10 @@ class ActionLog:
             self._transfers.value += 1
             if source == self._dummy:
                 self._dummy_transfers.value += 1
-        if self._events is not None:
+        if self._tracer is not None:
             self._delivered += 1
             if self._delivered % _HEARTBEAT_EVERY == 0:
-                self._events.emit(
+                self._tracer.event(
                     "builder.progress", transfers=self._delivered
                 )
 

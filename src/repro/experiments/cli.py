@@ -37,7 +37,6 @@ from repro.experiments.robust_sweep import (
 )
 from repro.experiments.runner import run_figure
 from repro.obs import (
-    EventStream,
     MetricsRegistry,
     Tracer,
     observed,
@@ -112,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "record the run and write an rtsp-trace/1 JSONL trace to PATH "
+            "record the run and write its spans and events as an "
+            "rtsp-trace/2 JSONL trace to PATH "
             "(inspect with 'rtsp-tool trace-summary PATH')"
         ),
     )
@@ -146,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH",
-        help="write the structured rtsp-events/1 event stream to PATH",
-    )
-    parser.add_argument(
         "--prometheus",
         default=None,
         metavar="PATH",
@@ -183,9 +177,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     progress = None if args.quiet else lambda line: print("  " + line, flush=True)
 
+    on_event = (
+        (lambda e: print("  " + render_event(e), flush=True))
+        if args.progress
+        else None
+    )
     tracer = (
-        Tracer(meta={"figure": args.figure, "scale": scale.name})
-        if (args.trace or args.chrome_trace or args.otlp)
+        Tracer(meta={"figure": args.figure, "scale": scale.name}, on_event=on_event)
+        if (args.trace or args.chrome_trace or args.otlp or args.progress)
         else None
     )
     metrics = (
@@ -193,30 +192,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if (args.metrics_json or args.prometheus or args.otlp)
         else None
     )
-    events = None
-    if args.events or args.progress:
-        on_event = (
-            (lambda e: print("  " + render_event(e), flush=True))
-            if args.progress
-            else None
-        )
-        events = EventStream(
-            meta={"figure": args.figure, "scale": scale.name},
-            on_event=on_event,
-        )
 
     profile_report = None
     with ExitStack() as stack:
-        stack.enter_context(
-            observed(tracer=tracer, metrics=metrics, events=events)
-        )
+        stack.enter_context(observed(tracer=tracer, metrics=metrics))
         if args.profile:
             profile_report = stack.enter_context(profiled())
         if args.figure.lower() == "robust":
             code = _run_robust(args, scale, progress)
         else:
             code = _run_figures(args, scale, progress)
-    _write_obs_artifacts(args, tracer, metrics, events, profile_report)
+    _write_obs_artifacts(args, tracer, metrics, profile_report)
     return code
 
 
@@ -248,7 +234,7 @@ def _run_figures(args, scale, progress) -> int:
     return 0
 
 
-def _write_obs_artifacts(args, tracer, metrics, events, profile_report) -> None:
+def _write_obs_artifacts(args, tracer, metrics, profile_report) -> None:
     """Write the observability artifacts the flags asked for."""
     if tracer is not None and args.trace:
         tracer.write_jsonl(args.trace)
@@ -270,9 +256,6 @@ def _write_obs_artifacts(args, tracer, metrics, events, profile_report) -> None:
             meta={"figure": args.figure},
         )
         print(f"wrote {args.otlp}")
-    if events is not None and args.events:
-        events.write_jsonl(args.events)
-        print(f"wrote {args.events}")
     if profile_report is not None:
         print()
         print(profile_report.text)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.analysis.metrics import schedule_stats
 from repro.core.pipeline import build_pipeline
 from repro.experiments.config import ExperimentScale, FigureSpec
-from repro.obs.context import current_events, current_metrics, current_tracer
+from repro.obs.context import current_metrics, current_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.shard.pool import WorkQueue
@@ -168,7 +168,6 @@ def _run_figure_tasks(
         context=(spec, scale),
         metrics=metrics,
         tracer=tracer,
-        events=current_events(),
     )
     by_cell: Dict[Tuple[float, int], Dict[str, Tuple[float, float]]] = {}
     for x, rep, out in outputs:

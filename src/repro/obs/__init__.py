@@ -1,23 +1,20 @@
-"""`repro.obs` — observability: tracing, metrics, events and profiling.
+"""`repro.obs` — observability: tracing, metrics and profiling.
 
 A zero-overhead-when-disabled instrumentation layer threaded through
-the build → simulate → repair pipeline. Five pillars:
+the build → simulate → repair pipeline. Four pillars:
 
-* :mod:`repro.obs.trace` — span-based :class:`Tracer` with nested
-  spans, deterministic logical event numbering, versioned JSONL export
-  (``rtsp-trace/1``) and Chrome trace-event export; :class:`NullTracer`
-  is the free default.
+* :mod:`repro.obs.trace` — the one recorder, :class:`Tracer`: nested
+  spans and point events (shard lifecycle, builder heartbeats, repair
+  rounds, invariant failures) on one deterministic sequence counter,
+  worker-fragment merging, an ``on_event`` hook for live progress,
+  versioned JSONL export (``rtsp-trace/2``), a flight-recorder tail
+  dump (:func:`flight_recorded`) and Chrome trace-event export;
+  :class:`NullTracer` is the free default.
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
   of counters/gauges/histograms whose snapshots merge associatively, so
   parallel figure runs aggregate worker statistics instead of dropping
   them. Wired into the builders' action log, selector and benefit
   cache, both simulators, and the repair engine.
-* :mod:`repro.obs.events` — a live structured event stream
-  (``rtsp-events/1``: shard lifecycle, builder heartbeats, repair rounds,
-  invariant failures) with worker-fragment merging, an ``on_event``
-  hook for live progress rendering, and the bounded
-  :class:`FlightRecorder` ring buffer that dumps the last moments
-  before a failure to disk.
 * :mod:`repro.obs.export` — Prometheus text exposition and OTLP-style
   JSON for metrics snapshots and span lists, round-trippable for
   validation.
@@ -41,24 +38,12 @@ a single ``None`` check. Example::
 """
 
 from repro.obs.context import (
-    current_events,
     current_metrics,
     current_tracer,
+    flight_recorded,
     observed,
-    use_events,
     use_metrics,
     use_tracer,
-)
-from repro.obs.events import (
-    EVENTS_FORMAT,
-    Event,
-    EventStream,
-    FlightRecorder,
-    flight_recorded,
-    load_events,
-    render_event,
-    validate_event_file,
-    validate_event_lines,
 )
 from repro.obs.export import (
     metrics_to_otlp,
@@ -95,25 +80,17 @@ from repro.obs.summary import (
 from repro.obs.trace import (
     NULL_TRACER,
     TRACE_FORMAT,
+    Event,
     NullTracer,
     Span,
     Tracer,
     load_trace,
+    render_event,
     validate_trace_file,
     validate_trace_lines,
 )
 
 __all__ = [
-    # events
-    "EVENTS_FORMAT",
-    "Event",
-    "EventStream",
-    "FlightRecorder",
-    "flight_recorded",
-    "load_events",
-    "render_event",
-    "validate_event_lines",
-    "validate_event_file",
     # export
     "prometheus_text",
     "parse_prometheus_text",
@@ -125,11 +102,13 @@ __all__ = [
     "write_otlp",
     # trace
     "TRACE_FORMAT",
+    "Event",
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "load_trace",
+    "render_event",
     "validate_trace_lines",
     "validate_trace_file",
     # metrics
@@ -154,9 +133,8 @@ __all__ = [
     # context
     "current_tracer",
     "current_metrics",
-    "current_events",
     "use_tracer",
     "use_metrics",
-    "use_events",
     "observed",
+    "flight_recorded",
 ]

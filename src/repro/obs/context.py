@@ -10,14 +10,11 @@ layer. Instead it asks this module for the *active* instruments:
 * :func:`current_metrics` — the active
   :class:`~repro.obs.metrics.MetricsRegistry`, or ``None`` when metrics
   are off (so hot paths can skip instrumentation with a single ``is
-  None`` check, captured once at construction time);
-* :func:`current_events` — the active
-  :class:`~repro.obs.events.EventStream`, or ``None`` when the event
-  stream is off (same single ``is None`` check contract as metrics).
+  None`` check, captured once at construction time).
 
 The context is installed with the :func:`use_tracer` / :func:`use_metrics`
-/ :func:`use_events` / :func:`observed` context managers. It lives in
-:mod:`contextvars` variables, so each thread sees only what it installed
+/ :func:`observed` / :func:`flight_recorded` context managers. It lives
+in :mod:`contextvars` variables, so each thread sees only what it installed
 itself: the planning service runs concurrent jobs on worker threads, and
 one job's stream must never capture another job's builder. A new thread
 starts with everything off; a forked pool worker inherits the forking
@@ -30,20 +27,19 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import ContextManager, Iterator, Optional, Union
+from typing import Any, Callable, ContextManager, Dict, Iterator, Optional, Union
 
-from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, Event, NullTracer, Tracer
+from repro.util.errors import ConfigurationError
 
 __all__ = [
     "current_tracer",
     "current_metrics",
-    "current_events",
     "use_tracer",
     "use_metrics",
-    "use_events",
     "observed",
+    "flight_recorded",
 ]
 
 _active_tracer: ContextVar[Union[Tracer, NullTracer]] = ContextVar(
@@ -51,9 +47,6 @@ _active_tracer: ContextVar[Union[Tracer, NullTracer]] = ContextVar(
 )
 _active_metrics: ContextVar[Optional[MetricsRegistry]] = ContextVar(
     "repro_obs_metrics", default=None
-)
-_active_events: ContextVar[Optional[EventStream]] = ContextVar(
-    "repro_obs_events", default=None
 )
 
 
@@ -65,11 +58,6 @@ def current_tracer() -> Union[Tracer, NullTracer]:
 def current_metrics() -> Optional[MetricsRegistry]:
     """The active metrics registry, or ``None`` when metrics are off."""
     return _active_metrics.get()
-
-
-def current_events() -> Optional[EventStream]:
-    """The active event stream, or ``None`` when events are off."""
-    return _active_events.get()
 
 
 @contextmanager
@@ -99,20 +87,42 @@ def use_metrics(registry: Optional[MetricsRegistry]) -> ContextManager[None]:
     return _installed(_active_metrics, registry)
 
 
-def use_events(stream: Optional[EventStream]) -> ContextManager[None]:
-    """Install ``stream`` as the active event sink for the block.
-
-    ``None`` turns the event stream off for the block.
-    """
-    return _installed(_active_events, stream)
-
-
 @contextmanager
 def observed(
     tracer: Optional[Union[Tracer, NullTracer]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    events: Optional[EventStream] = None,
 ) -> Iterator[None]:
-    """Install all instruments at once (any may be ``None``)."""
-    with use_tracer(tracer), use_metrics(metrics), use_events(events):
+    """Install both instruments at once (either may be ``None``)."""
+    with use_tracer(tracer), use_metrics(metrics):
         yield
+
+
+@contextmanager
+def flight_recorded(
+    path: str,
+    capacity: int = 256,
+    meta: Optional[Dict[str, Any]] = None,
+    on_event: Optional[Callable[[Event], None]] = None,
+) -> Iterator[Tracer]:
+    """Run a block under a fresh tracer that dumps its tail on a crash.
+
+    If the block raises, the tracer records an ``exception`` event and
+    writes its last ``capacity`` records to ``path`` (see
+    :meth:`~repro.obs.trace.Tracer.write_tail`) before re-raising; on a
+    clean exit nothing is written. The yielded tracer can still be
+    exported in full by the caller.
+    """
+    if capacity < 1:
+        raise ConfigurationError(
+            f"flight recorder capacity must be >= 1, got {capacity}"
+        )
+    tracer = Tracer(meta=meta, on_event=on_event)
+    try:
+        with use_tracer(tracer):
+            yield tracer
+    except BaseException as exc:
+        tracer.event(
+            "exception", error=type(exc).__name__, message=str(exc)[:500]
+        )
+        tracer.write_tail(path, capacity, f"exception: {type(exc).__name__}")
+        raise

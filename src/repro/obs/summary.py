@@ -146,7 +146,8 @@ def render_summary(summary: TraceSummary, top: int = 15) -> str:
     meta = summary.header.get("meta", {})
     lines = [
         f"Trace summary [{summary.header.get('format', '?')}, "
-        f"{summary.header.get('spans', 0)} spans"
+        f"{summary.header.get('spans', 0)} spans, "
+        f"{summary.header.get('events', 0)} events"
         + (f", meta={meta}" if meta else "")
         + "]",
         "",

@@ -34,7 +34,7 @@ from repro.model.actions import Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
 from repro.model.state import SystemState
-from repro.obs.context import current_events, current_metrics, current_tracer
+from repro.obs.context import current_metrics, current_tracer
 from repro.robust.faults import FaultPlan
 from repro.timing.bandwidth import bandwidths_from_costs
 from repro.timing.executor import simulate_parallel
@@ -184,7 +184,6 @@ class RepairEngine:
         seed = int(rng)
         registry = current_metrics()
         tracer = current_tracer()
-        stream = current_events()
         bandwidths = (
             bandwidths_from_costs(instance.costs)
             if self.bandwidths is None
@@ -266,24 +265,19 @@ class RepairEngine:
             report.rounds += 1
             if registry is not None:
                 registry.counter("repair.rounds").inc()
-            if stream is not None:
-                stream.emit(
-                    "repair.round",
-                    round=report.rounds,
-                    reason=str(result.failure),
-                    attempts=attempts,
-                )
+            tracer.event(
+                "repair.round",
+                round=report.rounds,
+                reason=str(result.failure),
+                attempts=attempts,
+            )
             if report.rounds > max_rounds:
-                if stream is not None:
-                    stream.emit(
-                        "repair.exhausted",
-                        rounds=report.rounds,
-                        max_rounds=max_rounds,
-                        reason=str(result.failure),
-                    )
-                    recorder = stream.recorder
-                    if recorder is not None and recorder.path is not None:
-                        recorder.dump(reason="repair budget exhausted")
+                tracer.event(
+                    "repair.exhausted",
+                    rounds=report.rounds,
+                    max_rounds=max_rounds,
+                    reason=str(result.failure),
+                )
                 raise RepairExhaustedError(
                     f"gave up after {max_rounds} repair rounds "
                     f"(last failure: {result.failure})"

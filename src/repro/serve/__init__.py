@@ -8,7 +8,7 @@ package is that serving layer, built entirely on the standard library:
   (``rtsp-plan-request/1`` ... ``rtsp-error/1``), strictly parsed;
 * :mod:`repro.serve.jobs` — the async job queue: bounded worker
   threads, per-job timeout, cooperative cancellation, per-job
-  ``rtsp-events/1`` progress streams;
+  progress events (``rtsp-trace/2`` event records);
 * :mod:`repro.serve.cache` — topology-hash keyed cost-matrix reuse
   (placement deltas re-plan without re-uploading the ``O(M^2)``
   matrix; large matrices spill via

@@ -5,9 +5,9 @@ handler threads only parse, submit and wait, so plan CPU usage is
 bounded by the worker count no matter how many connections are open.
 
 Jobs are cooperative. A running job periodically calls
-:meth:`JobContext.check` (the service wires the check into the job's
-``rtsp-events/1`` progress stream, so every builder heartbeat and
-shard completion is a cancellation point); ``check`` raises
+:meth:`JobContext.check` (the service wires the check into the
+``on_event`` hook of the job's deep-progress tracer, so every builder
+heartbeat and shard completion is a cancellation point); ``check`` raises
 :class:`JobCancelled` / :class:`JobTimeout`, which the worker maps to
 the terminal ``cancelled`` / ``timeout`` states. Jobs still pending
 when their deadline passes, or cancelled before a worker picks them
@@ -25,7 +25,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
-from repro.obs.events import EventStream
+from repro.obs.trace import Tracer
 from repro.util.errors import RtspError
 
 __all__ = [
@@ -95,8 +95,9 @@ class Job:
         self.state = PENDING
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        #: Per-job progress stream (``rtsp-events/1`` records).
-        self.stream = EventStream(meta={"job": job_id, "kind": kind, **(meta or {})})
+        #: Per-job progress events (``rtsp-trace/2`` event records). It
+        #: holds no spans, so seqs run 0, 1, ... per job.
+        self.stream = Tracer(meta={"job": job_id, "kind": kind, **(meta or {})})
         self.submitted_at = time.monotonic()
         self.deadline = (
             self.submitted_at + timeout_seconds
@@ -126,7 +127,7 @@ class Job:
     def record(self, name: str, **attrs: Any) -> None:
         """Append one progress event (thread-safe wrapper)."""
         with self._lock:
-            self.stream.emit(name, **attrs)
+            self.stream.event(name, **attrs)
 
     def snapshot(self, since: int = 0) -> Dict[str, Any]:
         """The ``rtsp-job/1`` view served by ``GET /v1/jobs/{id}``."""
@@ -172,19 +173,6 @@ class JobContext:
         """Record progress, then checkpoint (every emit can cancel)."""
         self.job.record(name, **attrs)
         self.check()
-
-    def checkpoint_hook(self) -> Callable[[Any], None]:
-        """An ``on_event`` hook turning every event into a checkpoint.
-
-        Install on an :class:`~repro.obs.events.EventStream` that deep
-        instrumentation writes to, so builder heartbeats double as
-        cancellation points.
-        """
-
-        def _hook(_event: Any) -> None:
-            self.check()
-
-        return _hook
 
 
 class JobQueue:

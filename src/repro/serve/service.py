@@ -16,12 +16,13 @@ per part-count, see :mod:`repro.shard`). The differential tests in
 ``tests/serve/`` enforce this.
 
 Deep progress: at most one running job at a time additionally installs
-its progress stream and the service's metrics registry as its thread's
-observability context (:mod:`repro.obs.context`), so builder heartbeats
-and shard completions flow into the job's ``rtsp-events/1`` stream —
-and every such event doubles as a cancellation/timeout checkpoint. The
-context is per thread, so concurrent jobs never see the deep job's
-stream; they plan correctly and report coarser (job-level) progress.
+a tracer and the service's metrics registry as its thread's
+observability context (:mod:`repro.obs.context`). The tracer's
+``on_event`` hook forwards builder heartbeats and shard completions to
+the job's progress events (``rtsp-trace/2`` event records), and every
+such event doubles as a cancellation/timeout checkpoint. The context is
+per thread, so concurrent jobs never see the deep job's tracer; they
+plan correctly and report coarser (job-level) progress.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from repro.analysis.metrics import schedule_stats
 from repro.core.pipeline import build_pipeline
 from repro.io import fault_plan_from_dict, schedule_from_dict, schedule_to_dict
 from repro.model.instance import RtspInstance
-from repro.obs.context import use_events, use_metrics
-from repro.obs.events import EventStream
+from repro.obs.context import use_metrics, use_tracer
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.serve.cache import (
     PlanCache,
     TopologyStore,
@@ -348,17 +349,17 @@ class PlanningService:
         try:
             with ExitStack() as stack:
                 if deep:
-                    # Builder heartbeats land on the job stream and act
+                    # Builder heartbeats land on the job's events and act
                     # as cancellation checkpoints. One deep job at a
                     # time: they all share the service's registry.
                     def _forward(event: Any) -> None:
                         ctx.job.record(event.name, **event.attrs)
                         ctx.check()
 
-                    deep_stream = EventStream(
+                    deep_tracer = Tracer(
                         meta={"job": ctx.job.id}, on_event=_forward
                     )
-                    stack.enter_context(use_events(deep_stream))
+                    stack.enter_context(use_tracer(deep_tracer))
                     stack.enter_context(use_metrics(self.metrics))
                 if request.shards is not None:
                     from repro.shard import plan_sharded

@@ -41,8 +41,7 @@ from repro.core.base import ScheduleBuilder
 from repro.core.pipeline import Pipeline, build_pipeline
 from repro.model.instance import RtspInstance
 from repro.model.schedule import KIND_TRANSFER, Schedule
-from repro.obs.context import current_events, current_metrics, current_tracer
-from repro.obs.events import EventStream
+from repro.obs.context import current_metrics, current_tracer
 from repro.shard.mmapcost import CostMatrixStore
 from repro.shard.partition import (
     Partition,
@@ -172,19 +171,17 @@ def _plan_part(
             stats.cross_shard_dummies
         )
         registry.histogram("shard.plan.seconds").observe(seconds)
-    stream = current_events()
-    if stream is not None:
-        # Per-shard completion heartbeat: recorded into the worker's
-        # fragment, merged in task order, so the stream is identical
-        # for any worker count.
-        stream.emit(
-            "shard.part",
-            part=index,
-            servers=stats.num_servers,
-            actions=stats.num_actions,
-            cost=stats.cost,
-            cross_shard_dummies=stats.cross_shard_dummies,
-        )
+    # Per-shard completion heartbeat: recorded into the worker's
+    # fragment, merged in task order, so the trace is identical for any
+    # worker count.
+    tracer.event(
+        "shard.part",
+        part=index,
+        servers=stats.num_servers,
+        actions=stats.num_actions,
+        cost=stats.cost,
+        cross_shard_dummies=stats.cross_shard_dummies,
+    )
     return (
         index,
         columns,
@@ -295,21 +292,19 @@ def plan_sharded(
     partition = resolve_partition(instance, partitioner)
     tracer = current_tracer()
     registry = current_metrics()
-    stream = current_events()
 
     with tracer.span(
         "plan_sharded", parts=len(partition.parts), workers=int(workers)
     ):
-        # The event stream deliberately omits the worker count: events
-        # describe the *plan*, which is byte-identical for any pool
-        # size, so the logical stream must be too. The span records the
-        # execution config instead.
-        if stream is not None:
-            stream.emit(
-                "plan.start",
-                parts=len(partition.parts),
-                shards=0 if shards is None else int(shards),
-            )
+        # Events deliberately omit the worker count: they describe the
+        # *plan*, which is byte-identical for any pool size, so their
+        # logical records must be too. The span records the execution
+        # config instead.
+        tracer.event(
+            "plan.start",
+            parts=len(partition.parts),
+            shards=0 if shards is None else int(shards),
+        )
         plan = _plan_partitioned(
             instance,
             pipeline,
@@ -322,7 +317,6 @@ def plan_sharded(
             progress,
             tracer,
             registry,
-            stream,
         )
         quality = plan_quality(
             instance,
@@ -339,16 +333,15 @@ def plan_sharded(
             dummy_traffic_ratio=quality.dummy_traffic_ratio,
             lpt_imbalance=quality.lpt_imbalance,
         )
-        if stream is not None:
-            stream.emit(
-                "plan.done",
-                parts=len(partition.parts),
-                actions=plan.num_actions,
-                cost=plan.cost,
-                cost_gap=quality.cost_gap if finite_gap else -1.0,
-                dummy_traffic_ratio=quality.dummy_traffic_ratio,
-                lpt_imbalance=quality.lpt_imbalance,
-            )
+        tracer.event(
+            "plan.done",
+            parts=len(partition.parts),
+            actions=plan.num_actions,
+            cost=plan.cost,
+            cost_gap=quality.cost_gap if finite_gap else -1.0,
+            dummy_traffic_ratio=quality.dummy_traffic_ratio,
+            lpt_imbalance=quality.lpt_imbalance,
+        )
     return plan
 
 
@@ -364,7 +357,6 @@ def _plan_partitioned(
     progress: Optional[Any],
     tracer: Any,
     registry: Any,
-    stream: Optional[EventStream],
 ) -> ShardedPlan:
     """Plan a resolved partition (the body under the ``plan_sharded`` span)."""
     t_start = time.perf_counter()
@@ -374,7 +366,7 @@ def _plan_partitioned(
         # byte-identical to unsharded planning.
         with tracer.span("shard.plan", part=0, servers=instance.num_servers):
             schedule = pipeline.run(instance, rng=rng)
-        report = _verify(instance, schedule, validate, stream)
+        report = _verify(instance, schedule, validate, tracer)
         stats = [
             ShardStats(
                 index=0,
@@ -422,8 +414,7 @@ def _plan_partitioned(
                 bins,
                 context=context,
                 metrics=registry,
-                tracer=tracer if getattr(tracer, "enabled", False) else None,
-                events=stream,
+                tracer=tracer,
             )
     finally:
         store.close()
@@ -450,10 +441,9 @@ def _plan_partitioned(
                 f"{stat.num_actions} actions, cost={stat.cost:.6g}, "
                 f"cross-shard dummies={stat.cross_shard_dummies}"
             )
-    if stream is not None:
-        stream.emit("plan.stitch", parts=len(results), actions=len(kinds))
+    tracer.event("plan.stitch", parts=len(results), actions=len(kinds))
     schedule = Schedule.from_arrays(kinds, primary, objs, sources)
-    report = _verify(instance, schedule, validate, stream)
+    report = _verify(instance, schedule, validate, tracer)
     if registry is not None:
         registry.counter("shard.plans").inc()
     return ShardedPlan(
@@ -493,15 +483,12 @@ def _verify(
     instance: RtspInstance,
     schedule: Schedule,
     validate: bool,
-    stream: Optional[EventStream] = None,
+    tracer: Any,
 ) -> Optional[Any]:
     """Run the strict invariant oracle over the stitched schedule.
 
-    On violation, records an ``invariant.violation`` event and — when
-    the active stream is backed by a :class:`~repro.obs.events.
-    FlightRecorder` with a dump path — flushes the recorder's ring to
-    disk before re-raising, so the final moments before the bad stitch
-    survive the crash.
+    On violation, records an ``invariant.violation`` event before
+    re-raising, so a flight-recorder dump of the crash names it.
     """
     if not validate:
         return None
@@ -512,13 +499,7 @@ def _verify(
             instance, schedule, context="plan_sharded stitch"
         )
     except InvalidScheduleError as exc:
-        if stream is not None:
-            stream.emit(
-                "invariant.violation",
-                context="plan_sharded stitch",
-                error=str(exc),
-            )
-            recorder = stream.recorder
-            if recorder is not None and recorder.path is not None:
-                recorder.dump(reason="invariant violation")
+        tracer.event(
+            "invariant.violation", context="plan_sharded stitch", error=str(exc)
+        )
         raise

@@ -10,10 +10,10 @@ library shares (figure repetitions, shard planning):
 * the callable and its context are installed in a module global just
   before the pool starts (fork workers inherit them), so closures over
   non-picklable state never cross a pickle boundary;
-* when an observability registry/tracer/event stream is supplied, every
-  task records into *fresh* fragments whose snapshots are merged back in
-  task order — counter totals, the logical trace stream and the logical
-  event stream are identical for any worker count (the PR 4 contract);
+* when an observability registry/tracer is supplied, every task records
+  into *fresh* fragments whose snapshots are merged back in task order —
+  counter totals and the logical trace (spans and events) are identical
+  for any worker count;
 * when the supplied tracer has an open span (e.g. ``plan_sharded``'s
   ``shard.pool`` span), adopted worker fragments are re-parented under
   it, so cross-process spans nest in the merged tree instead of
@@ -32,9 +32,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.context import observed
-from repro.obs.events import Event, EventStream
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = ["WorkQueue", "fork_available"]
 
@@ -58,27 +57,23 @@ def fork_available() -> bool:
 
 #: Installed immediately before the pool forks; inherited by workers so
 #: the task function and its context never need to be pickled.
-_WORKER_STATE: Optional[Tuple[Callable[..., Any], Any, bool, bool, bool]] = None
+_WORKER_STATE: Optional[Tuple[Callable[..., Any], Any, bool, bool]] = None
 
-TaskOutput = Tuple[
-    Any, Optional[dict], Optional[List[Span]], Optional[List[Event]]
-]
+TaskOutput = Tuple[Any, Optional[dict], Optional[Tracer]]
 
 
 def _run_one(task: Any) -> TaskOutput:
     """Execute one task under :data:`_WORKER_STATE` with fresh fragments."""
     assert _WORKER_STATE is not None, "WorkQueue worker state not installed"
-    fn, context, want_metrics, want_trace, want_events = _WORKER_STATE
+    fn, context, want_metrics, want_trace = _WORKER_STATE
     registry = MetricsRegistry() if want_metrics else None
     tracer = Tracer() if want_trace else None
-    stream = EventStream() if want_events else None
-    with observed(tracer=tracer, metrics=registry, events=stream):
+    with observed(tracer=tracer, metrics=registry):
         result = fn(context, task)
     return (
         result,
         registry.snapshot() if registry is not None else None,
-        tracer.spans if tracer is not None else None,
-        stream.events if stream is not None else None,
+        tracer,
     )
 
 
@@ -108,13 +103,12 @@ class WorkQueue:
         context: Any = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        events: Optional[EventStream] = None,
     ) -> List[Any]:
         """Map ``fn(context, task)`` over ``tasks`` in input order.
 
         ``fn`` must be a module-level callable (workers resolve it
         through the inherited module state, not a pickle). When
-        ``metrics``/``tracer``/``events`` are supplied, each task runs
+        ``metrics``/``tracer`` are supplied, each task runs
         inside a fresh fragment — also on the serial path, so totals
         never depend on the worker count — and the fragments are merged
         into the supplied instruments in task order. Trace fragments
@@ -127,9 +121,9 @@ class WorkQueue:
         if not tasks:
             return []
         want_metrics = metrics is not None
-        want_trace = tracer is not None and getattr(tracer, "enabled", False)
-        want_events = events is not None
-        state = (fn, context, want_metrics, want_trace, want_events)
+        if tracer is not None and not tracer.enabled:
+            tracer = None
+        state = (fn, context, want_metrics, tracer is not None)
         workers = min(self.workers, len(tasks))
         if workers > 1 and not fork_available():
             message = (
@@ -165,17 +159,14 @@ class WorkQueue:
         # span (the coordinating span, e.g. plan_sharded's shard.pool);
         # the link is identical on the serial path, so the merged tree
         # never depends on the worker count.
-        # getattr: callers may pass duck-typed disabled tracers that
-        # predate current_span (NullTracer returns None anyway).
-        current_span = getattr(tracer, "current_span", None)
-        open_span = current_span() if current_span is not None else None
+        open_span = tracer.current_span() if tracer is not None else None
         parent_id = open_span.span_id if open_span is not None else None
-        for result, snapshot, spans, task_events in outputs:
+        for result, snapshot, fragment in outputs:
             results.append(result)
             if snapshot is not None and metrics is not None:
                 metrics.merge(snapshot)
-            if spans is not None and tracer is not None:
-                tracer.adopt(spans, parent_id=parent_id)
-            if task_events is not None and events is not None:
-                events.adopt(task_events)
+            if fragment is not None and tracer is not None:
+                tracer.adopt(
+                    fragment.spans, parent_id=parent_id, events=fragment.events
+                )
         return results

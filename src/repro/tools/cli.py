@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from typing import List, Optional
 
 from repro.analysis.bounds import (
@@ -62,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         "progress) on the terminal",
     )
     p.add_argument(
-        "--events",
+        "--trace",
         metavar="PATH",
-        help="write the structured rtsp-events/1 stream here",
+        help="write the run's spans and events as an rtsp-trace/2 file",
     )
     p.add_argument(
         "--prometheus",
@@ -79,9 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--flight-record",
         metavar="PATH",
-        help="keep a bounded flight-recorder ring over the event stream "
-        "and dump it here on a crash or invariant violation "
-        "(nothing is written on success)",
+        help="on a crash or invariant violation, dump the trace's last "
+        "records here (nothing is written on success)",
     )
 
     p = sub.add_parser("validate", help="replay a schedule against an instance")
@@ -166,9 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace-summary",
-        help="summarise an rtsp-trace/1 file (from --trace) on the terminal",
+        help="summarise an rtsp-trace/2 file (from --trace) on the terminal",
     )
-    p.add_argument("trace", help="rtsp-trace/1 JSONL file")
+    p.add_argument("trace", help="rtsp-trace/2 JSONL file")
     p.add_argument(
         "--top", type=int, default=15,
         help="number of span rows to show (default 15)",
@@ -178,10 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_schedule(args) -> int:
     from repro.obs import (
-        EventStream,
-        FlightRecorder,
         MetricsRegistry,
         Tracer,
+        flight_recorded,
         observed,
         render_event,
         write_otlp,
@@ -191,22 +190,23 @@ def _cmd_schedule(args) -> int:
     instance = load_instance(args.instance)
     pipeline = build_pipeline(args.pipeline)
 
+    meta = {"tool": "schedule", "pipeline": args.pipeline}
     on_event = (lambda e: print("  " + render_event(e))) if args.progress else None
-    recorder = (
-        FlightRecorder(path=args.flight_record) if args.flight_record else None
+    tracer = (
+        Tracer(meta=meta, on_event=on_event)
+        if (args.trace or args.progress or args.otlp)
+        else None
     )
-    stream: Optional[EventStream] = None
-    if args.events or args.progress or recorder is not None:
-        stream = EventStream(
-            meta={"tool": "schedule", "pipeline": args.pipeline},
-            on_event=on_event,
-            recorder=recorder,
-        )
     registry = MetricsRegistry() if (args.prometheus or args.otlp) else None
-    tracer = Tracer() if args.otlp else None
-
     try:
-        with observed(tracer=tracer, metrics=registry, events=stream):
+        with ExitStack() as stack:
+            if args.flight_record:
+                tracer = stack.enter_context(
+                    flight_recorded(
+                        args.flight_record, meta=meta, on_event=on_event
+                    )
+                )
+            stack.enter_context(observed(tracer=tracer, metrics=registry))
             if args.shards is not None:
                 from repro.shard import plan_sharded
 
@@ -229,27 +229,21 @@ def _cmd_schedule(args) -> int:
                     f"cross-shard dummies={plan.cross_shard_dummies}"
                 )
             else:
-                if stream is not None:
-                    stream.emit("plan.start", parts=1, shards=0)
+                if tracer is not None:
+                    tracer.event("plan.start", parts=1, shards=0)
                 schedule = pipeline.run(instance, rng=args.seed)
-                if stream is not None:
-                    stream.emit(
-                        "plan.done", parts=1, actions=len(schedule)
-                    )
-    except BaseException as exc:
-        if recorder is not None:
-            recorder.note(
-                "exception", error=type(exc).__name__, message=str(exc)[:500]
-            )
-            recorder.dump(reason=f"exception: {type(exc).__name__}")
+                if tracer is not None:
+                    tracer.event("plan.done", parts=1, actions=len(schedule))
+    except BaseException:
+        if args.flight_record:
             print(f"flight recorder dumped to {args.flight_record}",
                   file=sys.stderr)
         raise
     stats = schedule_stats(schedule, instance)
     save_schedule(schedule, args.out)
-    if args.events and stream is not None:
-        stream.write_jsonl(args.events)
-        print(f"wrote {args.events}")
+    if args.trace and tracer is not None:
+        tracer.write_jsonl(args.trace)
+        print(f"wrote {args.trace}")
     if args.prometheus and registry is not None:
         write_prometheus(registry.snapshot(), args.prometheus)
         print(f"wrote {args.prometheus}")
@@ -258,7 +252,7 @@ def _cmd_schedule(args) -> int:
             args.otlp,
             snapshot=registry.snapshot(),
             spans=tracer.spans if tracer is not None else None,
-            meta={"tool": "schedule", "pipeline": args.pipeline},
+            meta=meta,
         )
         print(f"wrote {args.otlp}")
     print(
@@ -408,7 +402,7 @@ def _cmd_trace_summary(args) -> int:
         for problem in problems[:10]:
             print(f"  {problem}", file=sys.stderr)
         return 1
-    header, spans = load_trace(args.trace)
+    header, spans, _ = load_trace(args.trace)
     print(render_summary(summarize_spans(header, spans), top=args.top))
     return 0
 

@@ -1,11 +1,13 @@
-"""Tests for the span tracer and the rtsp-trace/1 format."""
+"""Tests for the span tracer and the rtsp-trace/2 format."""
 
 import json
 
 import pytest
 
+from repro.obs.context import flight_recorded
 from repro.obs.trace import (
     NULL_TRACER,
+    Event,
     NullTracer,
     Span,
     TRACE_FORMAT,
@@ -62,11 +64,36 @@ class TestTracer:
         assert span.counters == {"hits": 3}
         assert t.counters == {"toplevel": 5}
 
-    def test_event_is_closed_span(self):
+    def test_event_is_point_record(self):
         t = Tracer()
-        span = t.event("marker", k=1)
-        assert span.seq_end >= 0
-        assert t.spans == [span]
+        event = t.event("marker", k=1)
+        assert isinstance(event, Event)
+        assert (event.seq, event.name, event.attrs) == (0, "marker", {"k": 1})
+        assert t.events == [event]
+        assert t.spans == []
+
+    def test_spans_and_events_share_one_seq(self):
+        t = Tracer()
+        t.event("before")
+        with t.span("outer"):
+            with t.span("inner"):
+                t.event("deep")
+            t.event("shallow")
+        t.event("after")
+        closed = [
+            r.seq_end if isinstance(r, Span) else r.seq for r in t.records()
+        ]
+        assert closed == sorted(set(closed))
+        seqs = [e.seq for e in t.events]
+        seqs += [n for s in t.spans for n in (s.seq_start, s.seq_end)]
+        assert sorted(seqs) == list(range(len(seqs)))
+        inner = next(s for s in t.spans if s.name == "inner")
+        outer = next(s for s in t.spans if s.name == "outer")
+        by_name = {e.name: e.seq for e in t.events}
+        assert inner.seq_start < by_name["deep"] < inner.seq_end
+        assert inner.seq_end < by_name["shallow"] < outer.seq_end
+        assert by_name["before"] < outer.seq_start
+        assert outer.seq_end < by_name["after"]
 
     def test_exception_sets_error_attr(self):
         t = Tracer()
@@ -136,7 +163,7 @@ class TestSerialization:
         t = self._traced()
         path = str(tmp_path / "trace.jsonl")
         t.write_jsonl(path)
-        header, spans = load_trace(path)
+        header, spans, _ = load_trace(path)
         assert header["format"] == TRACE_FORMAT
         assert header["meta"] == {"figure": "4"}
         assert header["spans"] == len(spans) == 2
@@ -154,7 +181,8 @@ class TestSerialization:
 
     def test_validate_rejects_span_count_mismatch(self):
         header = json.dumps(
-            {"format": TRACE_FORMAT, "meta": {}, "spans": 2, "counters": {}}
+            {"format": TRACE_FORMAT, "meta": {}, "spans": 2, "events": 0,
+             "counters": {}}
         )
         assert any(
             "declares 2 spans" in e for e in validate_trace_lines([header])
@@ -167,6 +195,29 @@ class TestSerialization:
         rec["parent"] = 999
         lines[1] = json.dumps(rec)
         assert any("parent 999" in e for e in validate_trace_lines(lines))
+
+    def test_flight_dump_after_deep_exception_validates(self, tmp_path):
+        path = tmp_path / "flight.jsonl"
+        with pytest.raises(RuntimeError):
+            with flight_recorded(str(path), capacity=4) as t:
+                for i in range(3):
+                    with t.span("warmup", i=i):
+                        t.event("tick", i=i)
+                with t.span("a"):
+                    with t.span("b"):
+                        with t.span("c"):
+                            t.event("step")
+                            raise RuntimeError("boom")
+        assert validate_trace_file(str(path)) == []
+        header, spans, events = load_trace(str(path))
+        assert header["format"] == TRACE_FORMAT
+        assert [s.name for s in spans] == ["c", "b", "a"]
+        assert all(s.attrs["error"] == "RuntimeError" for s in spans)
+        assert [e.name for e in events] == ["exception"]
+        ids = {s.span_id for s in spans}
+        assert all(s.parent_id in ids for s in spans if s.name != "a")
+        # 6 warm-up records, "step": 7 fell out of the 4-record tail.
+        assert header["meta"]["dropped"] == 7
 
     def test_validate_empty(self):
         assert validate_trace_lines([])

@@ -12,9 +12,10 @@ from repro.obs.trace import (
 )
 
 
-def _header(spans=1):
+def _header(spans=1, events=0):
     return json.dumps(
-        {"format": TRACE_FORMAT, "meta": {}, "spans": spans, "counters": {}}
+        {"format": TRACE_FORMAT, "meta": {}, "spans": spans, "events": events,
+         "counters": {}}
     )
 
 
@@ -56,7 +57,7 @@ class TestMalformedTraces:
 
     def test_body_wrong_type_tag(self):
         problems = validate_trace_lines(
-            [_header(1), _span_line(type="event")]
+            [_header(1), _span_line(type="marker")]
         )
         assert any("type" in p for p in problems)
 

@@ -2,16 +2,16 @@
 
 The acceptance criteria for the telemetry subsystem live here:
 
-* schedules are byte-identical with events/metrics/tracing on or off,
-  for any worker count;
-* the event stream's logical lines are byte-identical across worker
-  counts (events describe the *plan*, not the execution);
+* schedules are byte-identical with metrics/tracing on or off, for any
+  worker count;
+* event logical records are byte-identical across worker counts
+  (events describe the *plan*, not the execution);
 * worker-side span fragments adopted by the coordinator nest under the
   ``plan_sharded`` span, so a Chrome export of a ``workers > 1`` run
   shows every shard inside the coordinating span;
 * plan-quality gauges land in the metrics registry;
-* stitch-time invariant violations emit an event and dump the flight
-  recorder ring before re-raising.
+* stitch-time invariant violations emit an event before re-raising, so
+  a flight-recorder dump of the crash holds it.
 """
 
 import json
@@ -21,13 +21,12 @@ import pytest
 from repro.core.pipeline import build_pipeline
 from repro.exact.validate import InvalidScheduleError
 from repro.obs import (
-    EventStream,
-    FlightRecorder,
     MetricsRegistry,
     Tracer,
-    load_events,
+    flight_recorded,
+    load_trace,
     observed,
-    validate_event_lines,
+    validate_trace_lines,
 )
 from repro.shard import plan_sharded
 
@@ -41,15 +40,14 @@ def pipeline():
 
 
 def observed_plan(composed, pipeline, workers, shards=3):
-    """Plan under a full observability stack; return (plan, stack)."""
+    """Plan under a tracer and a registry; return (plan, tracer, registry)."""
     tracer = Tracer()
     registry = MetricsRegistry()
-    stream = EventStream()
-    with observed(tracer=tracer, metrics=registry, events=stream):
+    with observed(tracer=tracer, metrics=registry):
         plan = plan_sharded(
             composed, pipeline, shards=shards, workers=workers, rng=SEED
         )
-    return plan, tracer, registry, stream
+    return plan, tracer, registry
 
 
 class TestScheduleByteIdentity:
@@ -60,35 +58,38 @@ class TestScheduleByteIdentity:
         bare = plan_sharded(
             composed, pipeline, shards=3, workers=workers, rng=SEED
         )
-        watched, _, _, _ = observed_plan(composed, pipeline, workers)
+        watched, _, _ = observed_plan(composed, pipeline, workers)
         assert list(watched.schedule) == list(bare.schedule)
         assert watched.cost == bare.cost
 
 
-class TestEventStream:
+class TestEvents:
     def test_logical_lines_identical_across_worker_counts(
         self, composed, pipeline
     ):
-        _, _, _, serial = observed_plan(composed, pipeline, workers=1)
-        _, _, _, parallel = observed_plan(composed, pipeline, workers=2)
-        assert serial.logical_lines() == parallel.logical_lines()
-        assert validate_event_lines(serial.to_lines()) == []
+        def logical(tracer):
+            return [json.dumps(e.logical_record()) for e in tracer.events]
+
+        _, serial, _ = observed_plan(composed, pipeline, workers=1)
+        _, parallel, _ = observed_plan(composed, pipeline, workers=2)
+        assert logical(serial) == logical(parallel)
+        assert validate_trace_lines(serial.to_lines()) == []
 
     def test_lifecycle_events_present_in_order(self, composed, pipeline):
-        _, _, _, stream = observed_plan(composed, pipeline, workers=2)
-        names = [e.name for e in stream.events]
+        _, tracer, _ = observed_plan(composed, pipeline, workers=2)
+        names = [e.name for e in tracer.events]
         assert names[0] == "plan.start"
         assert names[-1] == "plan.done"
         assert names.count("shard.part") == 3
         assert "plan.stitch" in names
         # shard completions arrive in canonical part order, not finish order
-        parts = [e.attrs["part"] for e in stream.events
+        parts = [e.attrs["part"] for e in tracer.events
                  if e.name == "shard.part"]
         assert parts == [0, 1, 2]
 
     def test_plan_done_carries_quality_attrs(self, composed, pipeline):
-        _, _, _, stream = observed_plan(composed, pipeline, workers=1)
-        done = stream.events[-1]
+        _, tracer, _ = observed_plan(composed, pipeline, workers=1)
+        done = tracer.events[-1]
         for key in ("cost", "cost_gap", "dummy_traffic_ratio",
                     "lpt_imbalance"):
             assert key in done.attrs, key
@@ -97,7 +98,7 @@ class TestEventStream:
 class TestSpanLinkage:
     def test_shard_spans_nest_under_plan_sharded(self, composed, pipeline):
         """Adopted worker fragments re-parent under the coordinator span."""
-        _, tracer, _, _ = observed_plan(composed, pipeline, workers=2)
+        _, tracer, _ = observed_plan(composed, pipeline, workers=2)
         by_id = {s.span_id: s for s in tracer.spans}
 
         def ancestors(span):
@@ -121,14 +122,14 @@ class TestSpanLinkage:
                 }
             return json.dumps(records, sort_keys=True)
 
-        _, serial, _, _ = observed_plan(composed, pipeline, workers=1)
-        _, parallel, _, _ = observed_plan(composed, pipeline, workers=2)
+        _, serial, _ = observed_plan(composed, pipeline, workers=1)
+        _, parallel, _ = observed_plan(composed, pipeline, workers=2)
         assert logical(serial) == logical(parallel)
 
     def test_chrome_export_uses_logical_clock_and_contains_shards(
         self, composed, pipeline, tmp_path
     ):
-        _, tracer, _, _ = observed_plan(composed, pipeline, workers=2)
+        _, tracer, _ = observed_plan(composed, pipeline, workers=2)
         path = tmp_path / "chrome.json"
         tracer.write_chrome(str(path))
         doc = json.loads(path.read_text())
@@ -145,7 +146,7 @@ class TestSpanLinkage:
 
 class TestQualityGauges:
     def test_quality_recorded_in_registry(self, composed, pipeline):
-        _, _, registry, _ = observed_plan(composed, pipeline, workers=1)
+        _, _, registry = observed_plan(composed, pipeline, workers=1)
         snap = registry.snapshot()
         gauges = snap["gauges"]
         assert gauges["plan.cost"]["value"] > 0
@@ -153,7 +154,7 @@ class TestQualityGauges:
         assert gauges["plan.lpt_imbalance"]["value"] >= 1.0
 
     def test_quality_annotated_on_root_span(self, composed, pipeline):
-        _, tracer, _, _ = observed_plan(composed, pipeline, workers=1)
+        _, tracer, _ = observed_plan(composed, pipeline, workers=1)
         root = next(s for s in tracer.spans if s.name == "plan_sharded")
         assert "dummy_traffic_ratio" in root.attrs
         assert "lpt_imbalance" in root.attrs
@@ -180,18 +181,15 @@ class TestInvariantFailureTelemetry:
         )
 
         dump = tmp_path / "flight.jsonl"
-        recorder = FlightRecorder(capacity=64, path=str(dump))
-        stream = EventStream(recorder=recorder)
-        with observed(events=stream):
-            with pytest.raises(InvalidScheduleError):
+        with pytest.raises(InvalidScheduleError):
+            with flight_recorded(str(dump), capacity=64) as tracer:
                 plan_sharded(
                     composed, pipeline, shards=2, workers=1, rng=SEED
                 )
-        violations = [e for e in stream.events
+        violations = [e for e in tracer.events
                       if e.name == "invariant.violation"]
         assert len(violations) == 1
         assert "index" in violations[0].attrs["error"]
-        assert dump.exists()
-        header, events = load_events(str(dump))
-        assert header["meta"]["reason"] == "invariant violation"
+        header, _, events = load_trace(str(dump))
+        assert header["meta"]["reason"] == "exception: InvalidScheduleError"
         assert any(e.name == "invariant.violation" for e in events)

@@ -175,7 +175,7 @@ class TestTraceSummaryCommand:
         path = self._trace_file(tmp_path)
         assert main(["trace-summary", path]) == 0
         out = capsys.readouterr().out
-        assert "rtsp-trace/1" in out
+        assert "rtsp-trace/2" in out
         assert "repetition" in out and "cell" in out
 
     def test_top_limits_rows(self, tmp_path, capsys):
