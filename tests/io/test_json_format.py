@@ -72,6 +72,18 @@ class TestInstanceRoundTrip:
         with pytest.raises(ConfigurationError, match="missing"):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key,value,cell", [("x_new", 0, 0.4), ("x_old", 1, 1.7)]
+    )
+    def test_rejects_fractional_placement_cells(self, instance, key, value, cell):
+        # A cast to int8 before the 0/1 check would turn 0.4 into 0 and
+        # 1.7 into 1 and accept the instance.
+        data = instance_to_dict(instance)
+        i, k = np.argwhere(getattr(instance, key) == value)[0]
+        data[key][i][k] = cell
+        with pytest.raises(ConfigurationError, match="0/1"):
+            instance_from_dict(data)
+
     def test_revalidates_feasibility(self, instance):
         data = instance_to_dict(instance)
         data["capacities"] = [0.0] * instance.num_servers
