@@ -56,8 +56,10 @@ def instance_from_dict(data: Dict[str, Any]) -> RtspInstance:
             sizes=np.asarray(data["sizes"], dtype=np.float64),
             capacities=np.asarray(data["capacities"], dtype=np.float64),
             costs=np.asarray(data["costs"], dtype=np.float64),
-            x_old=np.asarray(data["x_old"], dtype=np.int8),
-            x_new=np.asarray(data["x_new"], dtype=np.int8),
+            # Raw arrays: check_binary_matrix rejects non-0/1 cells and
+            # only then casts, so 0.4 is an error rather than a 0.
+            x_old=np.asarray(data["x_old"]),
+            x_new=np.asarray(data["x_new"]),
         )
     except KeyError as missing:
         raise ConfigurationError(f"instance JSON missing key {missing}") from None
