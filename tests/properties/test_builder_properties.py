@@ -5,11 +5,13 @@ no per-action validation, so their output is re-checked here from first
 principles by the strict invariant oracle: on random instances with
 fractional sizes (integral ones are covered by
 ``test_exact_properties.py`` and ``test_schedule_properties.py``) and,
-for all five builders including GMC, on the differential families. The
-build's counters must agree with the schedule it returns.
+for all five builders including GMC, on the differential families and
+on a 100 x 1000 fleet-scale instance. The build's counters must agree
+with the schedule it returns.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +94,38 @@ def test_builders_pass_the_oracle_on_differential_families():
         for inst in family_instances(family):
             for seed in (0, 1, 2):
                 _assert_oracle_accepts(inst, seed)
+
+
+def _fleet_scale_instance(num_servers, num_objects, seed):
+    # Placements drawn directly (paper_instance's knapsack packing is
+    # super-linear): ~2 replicas per object old and new, 10% storage
+    # slack, Manhattan link costs between random points in a 100 x 100
+    # square.
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 11, size=num_objects).astype(float)
+    coords = rng.random((num_servers, 2)) * 100
+    costs = np.ceil(
+        np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    )
+    np.fill_diagonal(costs, 0.0)
+    x_old = np.zeros((num_servers, num_objects), dtype=np.int8)
+    x_new = np.zeros((num_servers, num_objects), dtype=np.int8)
+    cols = np.arange(num_objects)
+    for matrix in (x_old, x_new):
+        picks = rng.integers(0, num_servers, size=(num_objects, 2))
+        matrix[picks[:, 0], cols] = 1
+        matrix[picks[:, 1], cols] = 1
+    caps = np.maximum(x_old @ sizes, x_new @ sizes) * 1.1 + 5
+    return RtspInstance.create(sizes, caps, costs, x_old, x_new)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_builders_pass_the_oracle_at_fleet_scale(seed):
+    # 100 servers x 1000 objects: the builders' unvalidated fast path
+    # at a size the hypothesis strategies and differential families
+    # never reach (the 96 x 960 digest case is only hashed).
+    inst = _fleet_scale_instance(100, 1000, seed)
+    _assert_oracle_accepts(inst, seed)
 
 
 @settings(**COMMON)
