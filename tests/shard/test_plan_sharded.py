@@ -58,6 +58,17 @@ class TestStitchDifferential:
         )
         assert list(plan.schedule) == list(reference)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_skipping_the_oracle_leaves_the_schedule_unchanged(
+        self, composed, pipeline, reference, workers
+    ):
+        plan = plan_sharded(
+            composed, pipeline, shards=2, workers=workers, rng=SEED,
+            validate=False,
+        )
+        assert plan.invariant_report is None
+        assert list(plan.schedule) == list(reference)
+
     def test_single_part_matches_unsharded_planning(self, blocks, pipeline):
         instance = blocks[0]
         unsharded = pipeline.run(instance, rng=SEED)
