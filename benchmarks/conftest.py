@@ -7,20 +7,12 @@ setup; budget roughly an hour for the whole suite at that scale).
 Every figure benchmark writes its regenerated table to
 ``benchmarks/results/<figure>.txt`` so the paper-shaped output survives
 pytest's output capture.
-
-In addition, whenever timing benchmarks ran, the session writes their
-statistics as machine-readable JSON into ``benchmarks/results/`` (file
-name overridable via ``RTSP_BENCH_JSON``), so CI can archive per-commit
-numbers and regressions can be diffed mechanically instead of by eyeball
-against the checked-in ``.txt`` tables.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import platform
 
 import pytest
 
@@ -40,48 +32,3 @@ def results_dir() -> pathlib.Path:
     """Directory collecting the regenerated figure tables."""
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-#: Stats fields exported per benchmark, in display order (seconds).
-_STAT_FIELDS = (
-    "min", "max", "mean", "stddev", "median", "iqr", "ops", "total",
-)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Dump timing statistics of the finished session as JSON."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    scale = os.environ.get("RTSP_BENCH_SCALE", "small")
-    payload = {
-        "scale": scale,
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "benchmarks": [],
-    }
-    for bench in bench_session.benchmarks:
-        stats = bench.stats
-        payload["benchmarks"].append(
-            {
-                "name": bench.name,
-                "fullname": bench.fullname,
-                "group": bench.group,
-                "param": bench.param,
-                "rounds": int(stats.rounds),
-                "iterations": int(bench.iterations),
-                "stats": {
-                    field: float(getattr(stats, field))
-                    for field in _STAT_FIELDS
-                },
-            }
-        )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    name = os.environ.get("RTSP_BENCH_JSON", f"bench_{scale}_latest.json")
-    path = RESULTS_DIR / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    terminal = session.config.pluginmanager.get_plugin("terminalreporter")
-    if terminal is not None:
-        terminal.write_line(f"benchmark JSON written to {path}")
-
-

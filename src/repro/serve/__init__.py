@@ -20,7 +20,7 @@ package is that serving layer, built entirely on the standard library:
 * :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer``
   transport (``rtsp-tool serve``);
 * :mod:`repro.serve.client` — a stdlib client used by the tests and
-  the ``benchmarks/serve_bench.py`` load harness.
+  the end-to-end benchmark (``benchmarks/e2e``).
 
 Served schedules are byte-identical to the in-process library path for
 the same ``(instance, pipeline, seed)`` — see ``tests/serve/``.

@@ -1,8 +1,8 @@
 """Minimal stdlib HTTP client for the planning service.
 
-Used by the load-test harness (``benchmarks/serve_bench.py``), the
-serve test suite and as a reference for external callers: every method
-returns ``(status, payload)`` where the payload is the parsed JSON
+Used by the serve test suite, the end-to-end benchmark
+(``benchmarks/e2e``) and as a reference for external callers: every
+method returns ``(status, payload)`` where the payload is the parsed JSON
 body — including 4xx/5xx ``rtsp-error/1`` bodies, which are returned,
 not raised, so callers can assert on them.
 """
@@ -82,14 +82,12 @@ class ServeClient:
         validate: Optional[str] = None,
         timeout_seconds: Optional[float] = None,
         delta: Optional[Dict[str, Any]] = None,
-        instance_dict: Optional[Dict[str, Any]] = None,
     ) -> Tuple[int, Any]:
         """Build and POST one ``rtsp-plan-request/1``.
 
         Pass exactly one of ``instance`` (an in-memory
-        :class:`RtspInstance`), ``instance_dict`` (a pre-serialised
-        ``rtsp-instance/1`` payload — the bench harness serialises once
-        and reuses it), or ``delta``.
+        :class:`RtspInstance`) or ``delta``. To reuse a pre-serialised
+        request, send it with :meth:`plan_raw`.
         """
         payload: Dict[str, Any] = {
             "format": PLAN_REQUEST_FORMAT,
@@ -105,8 +103,6 @@ class ServeClient:
             payload["timeout_seconds"] = timeout_seconds
         if instance is not None:
             payload["instance"] = instance_to_dict(instance)
-        if instance_dict is not None:
-            payload["instance"] = instance_dict
         if delta is not None:
             payload["delta"] = delta
         return self.plan_raw(payload)
