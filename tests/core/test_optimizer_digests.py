@@ -15,12 +15,17 @@ The inputs cover both regimes the optimizers see:
   capacities;
 * two synthetic instances where half the objects have more than 16
   holders and link costs are small integers, so nearest-source queries
-  run over dense columns with many equal-cost candidates.
+  run over dense columns with many equal-cost candidates;
+* four block-diagonal compositions of 3 or 4 paper instances (20
+  servers x 60 objects each, constant or uniform sizes), where the
+  schedule is 840-1200 actions long, H1 and H2 both rewrite and H1's
+  case (iii) recursion restores converted transfers.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from repro.core import build_pipeline
 from repro.io.json_format import schedule_to_dict
 from repro.model.instance import RtspInstance
 from repro.serve.schemas import canonical_json
+from repro.shard import compose_instances
 from repro.util.rng import ensure_rng
 from repro.workloads.regular import paper_instance
 
@@ -67,9 +73,42 @@ def _dense_case(seed: int) -> RtspInstance:
     return RtspInstance.create(sizes, caps, costs, x_old, x_new)
 
 
+def _composed_case(seed: int, blocks: int, uniform: bool) -> RtspInstance:
+    """``blocks`` disconnected 20 x 60 paper instances with 2 or 3
+    replicas each, composed into one instance."""
+    return compose_instances(
+        [
+            paper_instance(
+                replicas=2 + (seed + b) % 2,
+                num_servers=20,
+                num_objects=60,
+                uniform_size_range=(1000.0, 5000.0) if uniform else None,
+                rng=seed * 10 + b,
+            )
+            for b in range(blocks)
+        ]
+    )
+
+
 CASES = {f"paper-{seed}": (_paper_case, seed) for seed in range(12)}
 # Seeds where H1 and OP1 (and, on seed 2, H2) rewrite the schedule.
 CASES.update({f"dense-{seed}": (_dense_case, seed) for seed in (2, 3)})
+# Seeds where H1 and H2 both rewrite and H1's case (iii) recursion
+# succeeds at least twice.
+CASES.update(
+    {
+        f"composed-{blocks}x-{kind}-{seed}": (
+            partial(_composed_case, blocks=blocks, uniform=kind == "uniform"),
+            seed,
+        )
+        for blocks, kind, seed in (
+            (3, "const", 8),
+            (3, "uniform", 6),
+            (4, "const", 2),
+            (4, "uniform", 4),
+        )
+    }
+)
 
 
 def stage_digests(instance: RtspInstance, spec: str, seed: int):
@@ -91,6 +130,46 @@ def _digest(schedule) -> str:
 
 #: Recorded values. A mismatch is a behaviour change of an optimizer.
 EXPECTED = {
+    ('composed-3x-const-8', 'GOLCF+H1+H2+OP1'): [
+        '1468175ab927b267',
+        'c762b84d426143e4',
+        'ef25948d2eddceea',
+        'e43aee46e4c9701e',
+    ],
+    ('composed-3x-const-8', 'GOLCF+NSR'): [
+        '1468175ab927b267',
+        '1468175ab927b267',
+    ],
+    ('composed-3x-uniform-6', 'GOLCF+H1+H2+OP1'): [
+        '9f983a3f661989ff',
+        '2d55a4874b0fa08c',
+        'fb622bfff1d00d71',
+        '6b8583e6e3023ffa',
+    ],
+    ('composed-3x-uniform-6', 'GOLCF+NSR'): [
+        '9f983a3f661989ff',
+        '9f983a3f661989ff',
+    ],
+    ('composed-4x-const-2', 'GOLCF+H1+H2+OP1'): [
+        'bd92d5d5a6883267',
+        '79f0df385c7a3699',
+        '144bbc3d73fc7ac8',
+        '68ad6b0a51fa7c78',
+    ],
+    ('composed-4x-const-2', 'GOLCF+NSR'): [
+        'bd92d5d5a6883267',
+        'bd92d5d5a6883267',
+    ],
+    ('composed-4x-uniform-4', 'GOLCF+H1+H2+OP1'): [
+        'd7b724a86558a3d7',
+        '0e6f0cb1b17359e9',
+        '619712796bbc55b3',
+        '6dcc48ea56a99b0e',
+    ],
+    ('composed-4x-uniform-4', 'GOLCF+NSR'): [
+        'd7b724a86558a3d7',
+        'd7b724a86558a3d7',
+    ],
     ('dense-2', 'GOLCF+H1+H2+OP1'): [
         '8db1a34983e24ab8',
         '64e4c4225768d5de',
