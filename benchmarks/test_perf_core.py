@@ -2,15 +2,17 @@
 
 Ablation 1 of DESIGN.md: the schedule validator is the optimizers' inner
 loop — ``test_full_validation`` vs. ``test_window_validation`` quantifies
-what the window-replay shortcut buys. Ablation 3: nearest-source queries
-under the two state representations.
+what the window-replay shortcut buys, and ``test_indexed_validation``
+what deciding the same window from the schedule index buys on top.
+Ablation 3: nearest-source queries under the two state representations.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import get_builder
-from repro.core.optimizers.common import ArrayState, capture_states, window_valid
+from repro.core.optimizers.common import ArrayState, ScheduleIndex, window_valid
+from repro.model.actions import Transfer
 from repro.model.state import SystemState
 from repro.network.brite import brite_paper_topology
 from repro.network.paths import all_pairs_shortest_paths
@@ -38,15 +40,34 @@ def test_full_validation(benchmark, instance, schedule):
     assert report.ok
 
 
-def test_window_validation(benchmark, instance, schedule):
-    """Window replay of the last 32 actions from a captured prefix —
-    the per-candidate cost inside H1/H2/OP1 after the rewrite."""
+def _last_window(instance, schedule):
+    """The schedule's actions, the start of its last 32 and the state
+    before them."""
     actions = schedule.actions()
     start = max(0, len(actions) - 32)
-    snapshot = capture_states(ArrayState(instance), actions, [start])[start]
-    window = actions[start:]
-    ok = benchmark(window_valid, snapshot, window)
+    state = ArrayState(instance)
+    for a in actions[:start]:
+        state.apply(a)
+    return actions, start, state
+
+
+def test_window_validation(benchmark, instance, schedule):
+    """Window replay of the last 32 actions from the state before them."""
+    actions, start, state = _last_window(instance, schedule)
+    ok = benchmark(window_valid, state, actions[start:])
     assert ok
+
+
+def test_indexed_validation(benchmark, instance, schedule):
+    """The same window as a rewrite touching its last transfer, decided
+    from the schedule index — the per-candidate check inside H1/H2."""
+    actions, start, state = _last_window(instance, schedule)
+    end = len(actions)
+    index = ScheduleIndex(ArrayState(instance), actions)
+    last = max(x for x in range(start, end) if isinstance(actions[x], Transfer))
+    subst = {last: (actions[last],)}
+    ok = benchmark(index.rewrite_valid, start, end, [], subst)
+    assert ok and window_valid(state, index.window(start, end, [], subst))
 
 
 def test_state_apply_throughput(benchmark, instance, schedule):

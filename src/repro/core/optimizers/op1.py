@@ -27,15 +27,16 @@ continues in place — an ablation measured in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.core.base import ScheduleOptimizer, register_optimizer
 from repro.core.optimizers.common import (
     ArrayState,
+    ScheduleIndex,
     actions_cost,
     window_replay_with_repairs,
 )
-from repro.model.actions import Action, Delete, Transfer
+from repro.model.actions import Action, Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
 
@@ -91,19 +92,16 @@ class OP1ReorderTransfers(ScheduleOptimizer):
         returns the accumulated result at the end of the pass (``None``
         if nothing improved).
         """
-        transfer_pos = _transfer_positions_by_object(actions)
-        cell_deleted = _deleted_cells(actions)
+        index = ScheduleIndex(origin, actions)
         state = origin.copy()
         p1 = 0
         improved = False
         while p1 < len(actions):
             a1 = actions[p1]
             if isinstance(a1, Transfer):
-                p2 = _next_after(transfer_pos.get(a1.obj, ()), p1)
+                p2 = index.next_transfer(a1.obj, p1)
                 if p2 is not None:
-                    cand = self._consider(
-                        actions, state, transfer_pos, cell_deleted, p1, p2
-                    )
+                    cand = self._consider(index, state, p1, p2)
                     if cand is not None:
                         actions = cand
                         improved = True
@@ -111,8 +109,7 @@ class OP1ReorderTransfers(ScheduleOptimizer):
                             return actions
                         # Continue in place: the prefix [0, p1) — and thus
                         # `state` — is unchanged; re-examine from p1.
-                        transfer_pos = _transfer_positions_by_object(actions)
-                        cell_deleted = _deleted_cells(actions)
+                        index = ScheduleIndex(origin, actions)
                         continue
             state.apply(a1)
             p1 += 1
@@ -121,10 +118,8 @@ class OP1ReorderTransfers(ScheduleOptimizer):
     # ------------------------------------------------------------------
     def _consider(
         self,
-        actions: List[Action],
+        index: ScheduleIndex,
         state: ArrayState,
-        transfer_pos: Dict[int, List[int]],
-        cell_deleted: frozenset,
         p1: int,
         p2: int,
     ) -> Optional[List[Action]]:
@@ -133,13 +128,16 @@ class OP1ReorderTransfers(ScheduleOptimizer):
         ``state`` is the replication state before position ``p1``.
         Returns the complete rewritten action list on acceptance.
         """
+        actions = index.actions
         moved = actions[p2]
         assert isinstance(moved, Transfer)
         i, k = moved.target, moved.obj
         views = state.views
         row, size = views.row, views.sizes[k]
         row_i = row(i)
-        positions_k = transfer_pos.get(k, ())
+        positions_k = [
+            x for x in index.by_obj[k] if isinstance(actions[x], Transfer)
+        ]
 
         new_source = state.nearest(i, k)
         # Optimistic bound: the moved transfer's own cost change plus the
@@ -160,18 +158,13 @@ class OP1ReorderTransfers(ScheduleOptimizer):
         # Re-pointing through S_i is only safe while S_i keeps the object;
         # if some later action deletes (i, k), skip tail re-points (window
         # re-points are still checked by the replay).
-        i_keeps_obj = (i, k) not in cell_deleted
+        i_keeps_obj = not index.deletes(i, k)
         replacement = Transfer(i, k, new_source)
 
         for hoist in (False, True):
             hoisted: List[int] = []
             if hoist:
-                hoisted = [
-                    idx
-                    for idx in range(p1 + 1, p2)
-                    if isinstance(actions[idx], Delete)
-                    and actions[idx].server == i
-                ]
+                hoisted = index.server_deletions_between(p1, p2, i)
                 if not hoisted:
                     break  # identical to the no-hoist variant
             removed = set(hoisted)
@@ -224,29 +217,3 @@ class OP1ReorderTransfers(ScheduleOptimizer):
                 out.append(a)
             return out
         return None
-
-
-def _transfer_positions_by_object(
-    actions: Sequence[Action],
-) -> Dict[int, List[int]]:
-    """Map object id -> sorted positions of its transfers."""
-    positions: Dict[int, List[int]] = {}
-    for idx, a in enumerate(actions):
-        if isinstance(a, Transfer):
-            positions.setdefault(a.obj, []).append(idx)
-    return positions
-
-
-def _deleted_cells(actions: Sequence[Action]) -> frozenset:
-    """Set of ``(server, obj)`` cells deleted anywhere in the schedule."""
-    return frozenset(
-        (a.server, a.obj) for a in actions if isinstance(a, Delete)
-    )
-
-
-def _next_after(positions: Sequence[int], p1: int) -> Optional[int]:
-    """Smallest position in ``positions`` strictly greater than ``p1``."""
-    for idx in positions:
-        if idx > p1:
-            return idx
-    return None

@@ -1,4 +1,5 @@
-"""Tests for the optimizer machinery (ArrayState, window replays)."""
+"""Tests for the optimizer machinery (ArrayState, window replays,
+ScheduleIndex queries)."""
 
 import numpy as np
 import pytest
@@ -6,13 +7,8 @@ import pytest
 from repro.core.optimizers.common import (
     ArrayState,
     ReplayViews,
+    ScheduleIndex,
     actions_cost,
-    blocking_transfer,
-    capture_states,
-    count_dummies,
-    deletion_positions_before,
-    is_standalone_deletion,
-    server_deletions_between,
     window_replay_with_repairs,
     window_valid,
 )
@@ -146,18 +142,23 @@ class TestNearestTieRule:
                     ), (target, obj, exclude)
 
 
-class TestCaptureStates:
-    def test_snapshots_before_positions(self, inst):
-        actions = [Delete(0, 0), Transfer(2, 0, inst.dummy), Delete(2, 0)]
-        snaps = capture_states(ArrayState(inst), actions, [0, 1, 2])
-        assert snaps[0].holds(0, 0)
-        assert not snaps[1].holds(0, 0)
-        assert snaps[2].holds(2, 0)
+def _index(instance, actions):
+    return ScheduleIndex(ArrayState(instance), actions)
 
-    def test_duplicate_positions_ok(self, inst):
-        actions = [Delete(0, 0)]
-        snaps = capture_states(ArrayState(inst), actions, [0, 0, 1])
-        assert set(snaps) == {0, 1}
+
+class TestStateAtPosition:
+    def test_holders_before_positions(self, inst):
+        actions = [Delete(0, 0), Transfer(2, 0, inst.dummy), Delete(2, 0)]
+        index = _index(inst, actions)
+        assert index.holders_at(0, 0)[0]
+        assert not index.holders_at(0, 1)[0]
+        assert index.holders_at(0, 2)[2]
+
+    def test_free_space_before_positions(self, inst):
+        index = _index(inst, [Delete(0, 0)])
+        assert index.free_at(0, 0) == 0.0
+        assert index.free_at(0, 1) == 1.0
+        assert index.free_at(2, 1) == 1.0
 
 
 class TestWindowReplay:
@@ -193,35 +194,44 @@ class TestAccounting:
         actions = [Transfer(2, 0, 0), Delete(0, 0), Transfer(0, 1, 1)]
         assert actions_cost(ReplayViews(inst), actions) == 2.0 + 1.0
 
-    def test_count_dummies(self, inst):
+    def test_index_lists_dummy_transfers(self, inst):
         actions = [Transfer(2, 0, inst.dummy), Transfer(0, 1, 1)]
-        assert count_dummies(inst, actions) == 1
+        assert _index(inst, actions).dummies == [0]
 
 
 class TestStructureQueries:
-    def test_deletion_positions_before_nearest_first(self):
+    """Index queries on hand-made lists; the lists need not be valid
+    schedules, only in range of a 3-server, 9-object instance."""
+
+    @pytest.fixture
+    def wide(self):
+        empty = np.zeros((3, 9), dtype=np.int8)
+        costs = np.ones((3, 3)) - np.eye(3)
+        return RtspInstance.create([1.0] * 9, [9.0] * 3, costs, empty, empty)
+
+    def test_deletion_positions_before_nearest_first(self, wide):
         actions = [Delete(0, 5), Transfer(1, 5, 0), Delete(2, 5), Delete(1, 6)]
-        assert deletion_positions_before(actions, 4, 5) == [2, 0]
+        assert _index(wide, actions).deletions_before(4, 5) == [2, 0]
 
-    def test_server_deletions_between_exclusive(self):
+    def test_server_deletions_between_exclusive(self, wide):
         actions = [Delete(1, 0), Delete(1, 1), Delete(1, 2), Delete(1, 3)]
-        assert server_deletions_between(actions, 0, 3, 1) == [1, 2]
+        assert _index(wide, actions).server_deletions_between(0, 3, 1) == [1, 2]
 
-    def test_standalone_detection(self):
+    def test_standalone_detection(self, wide):
         # deletion fed by a transfer sourcing from its server: not standalone
         actions = [Transfer(2, 7, 1), Delete(1, 7)]
-        assert not is_standalone_deletion(actions, 0, 1)
+        assert not _index(wide, actions).is_standalone(0, 1)
         # creation at the server: not standalone either
         actions = [Transfer(1, 7, 2), Delete(1, 7)]
-        assert not is_standalone_deletion(actions, 0, 1)
+        assert not _index(wide, actions).is_standalone(0, 1)
         # unrelated actions: standalone
         actions = [Transfer(2, 8, 0), Delete(1, 7)]
-        assert is_standalone_deletion(actions, 0, 1)
+        assert _index(wide, actions).is_standalone(0, 1)
 
-    def test_blocking_transfer_found(self):
+    def test_blocking_transfer_found(self, wide):
         actions = [Transfer(2, 7, 1), Delete(1, 7)]
-        assert blocking_transfer(actions, 0, 1) == 0
+        assert _index(wide, actions).blocking_transfer(0, 1) == 0
 
-    def test_blocking_transfer_absent(self):
+    def test_blocking_transfer_absent(self, wide):
         actions = [Transfer(1, 7, 2), Delete(1, 7)]
-        assert blocking_transfer(actions, 0, 1) is None
+        assert _index(wide, actions).blocking_transfer(0, 1) is None
