@@ -16,6 +16,7 @@ from repro.core.base import (
     get_builder,
     get_optimizer,
 )
+from repro.model.actions import Transfer
 from repro.model.instance import RtspInstance
 from repro.model.residual import is_residual_trivial, residual_instance
 from repro.model.schedule import Schedule
@@ -175,10 +176,11 @@ class Pipeline:
                 if (delta := value - base.get(name, 0))
             }
             registry.histogram(f"stage.{stage}.seconds").observe(seconds)
+        cost, dummy_transfers = _cost_and_dummies(schedule, instance)
         return StageResult(
             stage=stage,
-            cost=schedule.cost(instance),
-            dummy_transfers=schedule.count_dummy_transfers(instance),
+            cost=cost,
+            dummy_transfers=dummy_transfers,
             num_actions=len(schedule),
             seconds=seconds,
             counters=counters,
@@ -186,6 +188,26 @@ class Pipeline:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Pipeline({self.name!r})"
+
+
+def _cost_and_dummies(
+    schedule: Schedule, instance: RtspInstance
+) -> Tuple[float, int]:
+    """``schedule.cost(instance)`` and its dummy-transfer count in one pass.
+
+    Same products, summed in the same order, so the cost is bit-identical
+    to :meth:`~repro.model.schedule.Schedule.cost`; Python float reads
+    replace its per-transfer numpy scalar arithmetic.
+    """
+    sizes, cost_of = instance.sizes.tolist(), instance.costs.item
+    dummy = instance.dummy
+    total, dummies = 0.0, 0
+    for a in schedule:
+        if isinstance(a, Transfer):
+            total += sizes[a.obj] * cost_of(a.target, a.source)
+            if a.source == dummy:
+                dummies += 1
+    return total, dummies
 
 
 def build_pipeline(spec: str, validate=None) -> Pipeline:

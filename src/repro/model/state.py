@@ -88,9 +88,13 @@ class SystemState:
             self._free_int = None
             self._free_comp = np.zeros_like(self._free)
             self._free_raw = self._free.copy()
-        self._replicators: List[Set[int]] = [
-            set(np.flatnonzero(self._holds[:, k]).tolist()) for k in range(n)
-        ]
+        # One nonzero over the placement, row-major: each object's
+        # holders arrive in ascending server order, as a per-column
+        # flatnonzero would give them.
+        self._replicators: List[Set[int]] = [set() for _ in range(n)]
+        servers, objs = np.nonzero(self._holds)
+        for i, k in zip(servers.tolist(), objs.tolist()):
+            self._replicators[k].add(i)
         #: Per-object mutation counters, bumped on every replicator-set
         #: change; consumers compare stamps to skip recomputing values
         #: derived from an untouched object.

@@ -1,10 +1,13 @@
 """Tests for pipeline composition and parsing."""
 
+import numpy as np
 import pytest
 
 from repro.core import build_pipeline, get_builder, get_optimizer
 from repro.core.pipeline import PAPER_PIPELINES, Pipeline
+from repro.model.instance import RtspInstance
 from repro.util.errors import ConfigurationError
+from repro.workloads.regular import paper_instance
 
 
 class TestParsing:
@@ -57,6 +60,27 @@ class TestExecution:
         assert [s.stage for s in stats] == ["GOLCF", "H1", "OP1"]
         assert stats[-1].cost == schedule.cost(fig3)
         assert all(s.seconds >= 0 for s in stats)
+
+    @pytest.mark.parametrize("spec", ["GOLCF", "GOLCF+H1", "GOLCF+H1+H2+OP1"])
+    def test_stage_stats_match_schedule_accounting(self, spec):
+        """The one-pass stage stats equal ``Schedule.cost`` bit for bit
+        and the dummy count. Sizes are sevenths, so the products round
+        and the sum depends on its order."""
+        base = paper_instance(
+            2, 20, 60, uniform_size_range=(1000.0, 5000.0), rng=4
+        )
+        sizes = base.sizes / 7
+        inst = RtspInstance.create(
+            sizes,
+            np.maximum(base.x_old @ sizes, base.x_new @ sizes),
+            base.costs,
+            base.x_old,
+            base.x_new,
+        )
+        schedule, stats = build_pipeline(spec).run_with_stats(inst, rng=4)
+        assert stats[-1].cost == schedule.cost(inst)
+        assert stats[-1].dummy_transfers == schedule.count_dummy_transfers(inst)
+        assert stats[0].dummy_transfers > 0
 
     def test_stats_monotone_improvements(self, medium_paper_instance):
         inst = medium_paper_instance
