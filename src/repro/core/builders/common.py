@@ -11,17 +11,23 @@ helpers here are the one builder core all five builders share:
 * the two work lists — pending transfers (one per outstanding cell) and
   pending deletions (one per superfluous cell);
 * :class:`PendingTransferSelector` — the cheapest pending transfer
-  against the current state, refreshed per dirty object (GOLCF, GMC);
+  against the current state: dirty objects are rescanned, and a heap of
+  per-object minima keyed ``(cost, flat position)`` answers with the
+  first minimum a whole-array ``np.argmin`` would give (GOLCF, GMC);
 * the benefit-ordered eviction used by the greedy builders to make room
-  at a transfer target (paper eq. 4).
+  at a transfer target (paper eq. 4), which looks benefits up lazily and
+  stops at the first zero, since no benefit is negative.
+
+Each step's work is proportional to the decisions it takes: the
+selector rescans only what changed, an eviction looks up only the
+benefits it needs, and the state answers every scalar query from
+Python-native storage (:mod:`repro.model.state`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, List, Set, Tuple
-
-import numpy as np
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
@@ -83,11 +89,18 @@ class ActionLog:
         self._tracer = tracer if tracer.enabled else None
         self._delivered = 0
 
-    def transfer(self, target: int, obj: int) -> None:
+    def transfer(
+        self, target: int, obj: int, source: Optional[int] = None
+    ) -> None:
         """Transfer ``obj`` to ``target`` from its nearest current source
-        (the dummy server when no real replicator exists)."""
+        (the dummy server when no real replicator exists).
+
+        A caller that has just computed ``state.nearest(target, obj)``
+        passes it as ``source`` instead of having it recomputed.
+        """
         state = self.state
-        source = state.nearest(target, obj)
+        if source is None:
+            source = state.nearest(target, obj)
         state.apply_transfer_trusted(target, obj)
         self._actions.append(Transfer(target, obj, source))
         if self._transfers is not None:
@@ -146,45 +159,45 @@ class PendingTransferSelector:
 
     GOLCF and GMC repeatedly need the globally cheapest pending transfer
     — ``size(O_k) * l_{i,N(i,k,X)}`` over all outstanding ``(i, k)`` —
-    against the *current* state. The original scan recomputed O(pending)
-    nearest queries per step; this selector keeps one flat cost array
-    with a contiguous slice per object and refreshes only the slices of
-    objects whose replicator set actually changed since the last query
-    (the builder reports those through :meth:`mark_dirty`: the delivered
-    transfer's object plus any eviction victims). The global choice is
-    then a single first-minimum ``np.argmin`` over the flat array.
+    against the *current* state. Only objects whose replicator set
+    changed since the last query (the builder reports those through
+    :meth:`mark_dirty`: the delivered transfer's object plus any eviction
+    victims) are rescanned; each rescan pushes the object's cheapest
+    entry onto a heap, and the global choice is the top of that heap.
 
-    Slice refreshes scan the live holder set of the object per pending
-    target: ``size * min(row[dummy], row[j] for j in holders)``. Pending
-    targets never hold their own object (a target leaves the pending
-    list before its replica is recorded, and eq. 4 evictions only ever
-    remove superfluous replicas), so the scan needs no self-exclusion.
+    A rescan walks the live holder set of the object per pending target:
+    ``size * min(row[dummy], row[j] for j in holders)``. Pending targets
+    never hold their own object (a target leaves the pending list before
+    its replica is recorded, and eq. 4 evictions only ever remove
+    superfluous replicas), so the scan needs no self-exclusion.
 
-    Tie-breaking is unchanged: the flat array is ordered by work-list
-    (insertion) order of objects, then per-object pending order, and
-    ``np.argmin`` returns the first minimum — exactly the element the
-    scalar ``cost < best`` scan would have kept.
+    Tie-breaking is a first minimum over one flat order: objects in
+    work-list (insertion) order, then each object's pending targets in
+    list order. Every entry has a flat position (the object's base plus
+    the target's current list index), a rescan keeps the object's first
+    minimum, and heap entries are keyed ``(cost, flat position)`` — so
+    the heap's top is exactly the entry a first-minimum ``np.argmin``
+    over the whole flat cost array would return. An entry is stale once
+    its object is popped or rescanned; a per-object stamp identifies
+    the live entry, and stale ones are dropped when they reach the top.
     """
 
     def __init__(
         self, state: SystemState, targets: Dict[int, List[int]]
     ) -> None:
-        instance = state.instance
         self._state = state
-        self._costs = instance.costs
-        self._dummy = instance.dummy
-        self._sizes = instance.sizes
-        self._objs = list(targets)
-        self._slot = {k: s for s, k in enumerate(self._objs)}
+        self._dummy = state.dummy
+        self._sizes = state.instance.sizes.tolist()
         self._pend = {k: list(v) for k, v in targets.items()}
-        starts: List[int] = []
+        self._base: Dict[int, int] = {}
         total = 0
-        for k in self._objs:
-            starts.append(total)
-            total += len(self._pend[k])
-        self._starts = starts
-        self._cost = np.full(total, np.inf)
-        self._dirty = set(self._objs)
+        for k, pend in self._pend.items():
+            self._base[k] = total
+            total += len(pend)
+        #: Stamp of each pending object's live heap entry.
+        self._stamp = dict.fromkeys(self._pend, 0)
+        self._heap: List[Tuple[float, int, int, int]] = []
+        self._dirty = set(self._pend)
         registry = current_metrics()
         if registry is None:
             self._c_scanned = self._c_refreshes = self._c_queries = None
@@ -195,23 +208,27 @@ class PendingTransferSelector:
 
     def _refresh_obj(self, obj: int) -> None:
         pend = self._pend[obj]
-        base = self._starts[self._slot[obj]]
-        size = float(self._sizes[obj])
+        size = self._sizes[obj]
         holders = self._state.holders(obj)
         if self._c_scanned is not None:
             self._c_refreshes.value += 1
             self._c_scanned.value += len(pend) * (len(holders) + 1)
-        costs = self._costs
+        rows = self._state.cost_rows
         dummy = self._dummy
-        flat = self._cost
+        best_cost, best_off = None, 0
         for off, t in enumerate(pend):
-            row = costs[t]
+            row = rows[t]
             best = row[dummy]
             for j in holders:
                 c = row[j]
                 if c < best:
                     best = c
-            flat[base + off] = size * best
+            cost = size * best
+            if best_cost is None or cost < best_cost:
+                best_cost, best_off = cost, off
+        stamp = self._stamp[obj] + 1
+        self._stamp[obj] = stamp
+        heappush(self._heap, (best_cost, self._base[obj] + best_off, stamp, obj))
 
     def mark_dirty(self, obj: int) -> None:
         """Note that ``obj``'s replicator set changed; refreshed lazily."""
@@ -226,31 +243,30 @@ class PendingTransferSelector:
             for obj in self._dirty:
                 self._refresh_obj(obj)
             self._dirty.clear()
-        idx = int(np.argmin(self._cost))
-        slot = bisect_right(self._starts, idx) - 1
-        obj = self._objs[slot]
-        pos = idx - self._starts[slot]
+        heap, stamps = self._heap, self._stamp
+        while True:
+            _, flat, stamp, obj = heap[0]
+            if stamps.get(obj) == stamp:
+                break
+            heappop(heap)
+        pos = flat - self._base[obj]
         return obj, pos, self._pend[obj][pos]
 
     def pop_object(self, obj: int) -> None:
         """Remove ``obj`` entirely (GOLCF serves it whole)."""
-        base = self._starts[self._slot[obj]]
-        self._cost[base : base + len(self._pend[obj])] = np.inf
         del self._pend[obj]
+        del self._stamp[obj]
         self._dirty.discard(obj)
 
     def pop_target(self, obj: int, pos: int) -> None:
         """Remove one pending target of ``obj`` (GMC serves singly)."""
         pend = self._pend[obj]
         pend.pop(pos)
-        base = self._starts[self._slot[obj]]
-        self._cost[base + len(pend)] = np.inf
         if pend:
-            # Remaining entries shifted left; recompute at next query.
+            # Later targets shifted left; rescan at the next query.
             self._dirty.add(obj)
         else:
-            del self._pend[obj]
-            self._dirty.discard(obj)
+            self.pop_object(obj)
 
     @property
     def exhausted(self) -> bool:
@@ -346,6 +362,17 @@ def evict_for(
     Returns the evicted objects so callers can invalidate derived caches
     (:meth:`PendingTransferSelector.mark_dirty`).
 
+    Benefits are looked up lazily, in list order, and the scan for a
+    victim stops at the first zero. A benefit is never negative: each
+    term is ``size * (l[N2] - l[N])`` with ``size > 0`` and ``N2`` no
+    cheaper than ``N``. So a zero is the minimum value, and the first
+    zero is the first minimum a scan over the whole list would return.
+    Benefits already looked up stay valid across the evictions of one
+    call — deleting a victim at ``target`` changes neither the other
+    candidates' replicator sets nor any waiting set — so each candidate
+    is looked up at most once per call, and never more often than the
+    whole-list scan would.
+
     A victim always exists while space is short: every replica held at
     ``target`` is either part of ``X_old ∩ X_new``, was delivered by an
     earlier transfer (both within the ``X_new`` row, which fits), or is a
@@ -353,24 +380,25 @@ def evict_for(
     """
     candidates = deletions.get(target)
     victims: List[int] = []
-    free = log.free  # live view; tracks the deletions below
-    size = float(log.state.instance.sizes[obj])
+    state = log.state
+    size = float(state.instance.sizes[obj])
+    # benefits[p] is the eq. 4 benefit of candidates[p], for the prefix
+    # looked up so far.
     benefits: List[float] = []
-    while free[target] + CAPACITY_EPS < size:
+    while state.free_space(target) + CAPACITY_EPS < size:
         assert candidates, (
             f"no superfluous replica left at S_{target} while O_{obj} "
             "does not fit; X_new would violate its capacity"
         )
-        if not victims:
-            # Computed once per call — deleting a victim at ``target``
-            # changes neither the other candidates' replicator sets nor
-            # any waiting set, so the remaining benefits are unchanged
-            # between the evictions of one call.
-            benefits = [benefit_cache.get(target, k) for k in candidates]
         best_pos, best_benefit = 0, None
         for pos, benefit in enumerate(benefits):
             if best_benefit is None or benefit < best_benefit:
                 best_pos, best_benefit = pos, benefit
+        while best_benefit != 0.0 and len(benefits) < len(candidates):
+            benefit = benefit_cache.get(target, candidates[len(benefits)])
+            benefits.append(benefit)
+            if best_benefit is None or benefit < best_benefit:
+                best_pos, best_benefit = len(benefits) - 1, benefit
         victim = candidates.pop(best_pos)
         benefits.pop(best_pos)
         log.delete(target, victim)

@@ -34,6 +34,7 @@ from repro.core.builders.common import (
 )
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
+from repro.model.state import CAPACITY_EPS
 from repro.util.rng import ensure_rng
 
 
@@ -48,25 +49,35 @@ class GreedyObjectLowestCostFirst(ScheduleBuilder):
         log = ActionLog(instance)
         targets, waiting = pending_transfer_map(instance, gen)
         deletions = pending_deletion_map(instance, gen)
-        selector = PendingTransferSelector(log.state, targets)
-        benefits = EvictionBenefitCache(log.state, waiting)
+        state = log.state
+        selector = PendingTransferSelector(state, targets)
+        benefits = EvictionBenefitCache(state, waiting)
+        sizes = instance.sizes.tolist()
+        rows = state.cost_rows
         while not selector.exhausted:
             best_obj, _, _ = selector.best()
             pend = targets.pop(best_obj)
             selector.pop_object(best_obj)
             obj_waiting = waiting[best_obj]
+            size = sizes[best_obj]
             while pend:
-                # Cheapest target of the chosen object at this moment.
-                best_pos, best_unit = 0, None
+                # Cheapest target of the chosen object at this moment,
+                # and its nearest source.
+                best_pos, best_unit, best_source = 0, None, None
                 for pos, t in enumerate(pend):
-                    unit = log.state.nearest_cost(t, best_obj)
+                    source = state.nearest(t, best_obj)
+                    unit = rows[t][source]
                     if best_unit is None or unit < best_unit:
-                        best_pos, best_unit = pos, unit
+                        best_pos, best_unit, best_source = pos, unit, source
                 target = pend.pop(best_pos)
-                victims = evict_for(log, target, best_obj, deletions, benefits)
-                for victim in victims:
-                    selector.mark_dirty(victim)
-                log.transfer(target, best_obj)
+                if state.free_space(target) + CAPACITY_EPS < size:
+                    # Evictions at ``target`` never touch ``best_obj``'s
+                    # holders (it is not superfluous where it is
+                    # pending), so ``best_source`` stays the nearest.
+                    victims = evict_for(log, target, best_obj, deletions, benefits)
+                    for victim in victims:
+                        selector.mark_dirty(victim)
+                log.transfer(target, best_obj, best_source)
                 obj_waiting.discard(target)
         flush_deletions(log, deletions, gen)
         return log.schedule()

@@ -19,6 +19,7 @@ from repro.robust.faults import (
 )
 from repro.timing.faulted import FaultedAction
 from repro.util.errors import ConfigurationError
+from repro.util.validation import binary_rows_matrix, decode_binary_rows
 
 INSTANCE_FORMAT = "rtsp-instance/1"
 SCHEDULE_FORMAT = "rtsp-schedule/1"
@@ -56,10 +57,10 @@ def instance_from_dict(data: Dict[str, Any]) -> RtspInstance:
             sizes=np.asarray(data["sizes"], dtype=np.float64),
             capacities=np.asarray(data["capacities"], dtype=np.float64),
             costs=np.asarray(data["costs"], dtype=np.float64),
-            # Raw arrays: check_binary_matrix rejects non-0/1 cells and
-            # only then casts, so 0.4 is an error rather than a 0.
-            x_old=np.asarray(data["x_old"]),
-            x_new=np.asarray(data["x_new"]),
+            # Strict 0/1 rows, as for a placement delta: 0.4 and JSON
+            # booleans are errors rather than a 0 or a 1.
+            x_old=binary_rows_matrix(decode_binary_rows(data["x_old"], "X_old")[1]),
+            x_new=binary_rows_matrix(decode_binary_rows(data["x_new"], "X_new")[1]),
         )
     except KeyError as missing:
         raise ConfigurationError(f"instance JSON missing key {missing}") from None

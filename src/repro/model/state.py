@@ -11,11 +11,43 @@ action semantics of paper §3.2:
 The dummy server (index ``instance.dummy``) permanently replicates every
 object, has unbounded storage, and can never be a transfer target or a
 deletion site.
+
+Storage layout. The builders ask the state a handful of scalar questions
+per action (does ``S_i`` hold ``O_k``, how much room is left at ``S_i``,
+what does a link cost), and a numpy scalar read or write costs several
+times a Python list or buffer access. The state therefore keeps its
+mutable data in Python-native buffers and publishes numpy views of them:
+
+* the placement cells live in a ``bytearray``, row-major ``M x N``;
+  ``_holds`` is an ``np.frombuffer`` view of the same bytes, so
+  :meth:`placement` and :meth:`matches` stay vectorised;
+* free space lives in an ``array('d')``; ``_free`` and every
+  :meth:`free_array` view alias it, so a view taken once (AR's masked
+  "which transfers fit" comparison, ``ActionLog.free``) tracks every
+  later mutation;
+* the exact free-space ledger (see ``__init__``) holds Python ints, or
+  Python floats for the compensated fractional ledger;
+* each cost row is copied into an ``array('d')`` on first use
+  (:attr:`cost_rows`).
+
+:meth:`copy` duplicates every mutable buffer, so a copy shares no
+mutable storage with its original; only the immutable instance and its
+cost-row cache are shared.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from array import array
+from typing import (
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -28,6 +60,27 @@ from repro.util.errors import InvalidActionError
 #: Numerical slack for storage comparisons (sizes are usually integers,
 #: but generators may produce floats).
 CAPACITY_EPS = 1e-9
+
+
+class _CostRows(dict):
+    """``server -> costs[server]`` as an ``array('d')``, copied on first
+    lookup.
+
+    An ``array('d')`` row is one memcpy to build and reads a float
+    nearly as fast as a list does. A list row costs a float object per
+    entry: on a 960-server instance, converting the rows to lists took
+    about a tenth of a GOLCF build.
+    """
+
+    __slots__ = ("_costs",)
+
+    def __init__(self, costs: np.ndarray) -> None:
+        super().__init__()
+        self._costs = costs
+
+    def __missing__(self, server: int) -> array:
+        row = self[server] = array("d", self._costs[server].tobytes())
+        return row
 
 
 class SystemState:
@@ -48,22 +101,22 @@ class SystemState:
         start = instance.x_old if placement is None else placement
         m, n = instance.num_servers, instance.num_objects
         self._dummy = instance.dummy
+        self._n = n
         if start.shape != (m, n):
             raise ValueError(f"placement must be {m}x{n}, got {start.shape}")
-        self._holds = np.array(start, dtype=np.int8, copy=True)
-        self._free = instance.capacities - (
-            self._holds.astype(np.float64) @ instance.sizes
-        )
-        if self._free.min(initial=0.0) < -CAPACITY_EPS:
+        self._cells = bytearray(np.ascontiguousarray(start, dtype=np.int8).tobytes())
+        self._holds = np.frombuffer(self._cells, dtype=np.int8).reshape(m, n)
+        free = instance.capacities - (self._holds.astype(np.float64) @ instance.sizes)
+        if free.min(initial=0.0) < -CAPACITY_EPS:
             raise InvalidActionError("starting placement violates capacities")
         # Exact free-space ledger. Accumulating float deltas drifts past
         # CAPACITY_EPS over enough evict/deliver cycles, so the published
-        # ``_free`` array is never float-accumulated directly:
+        # free space is never float-accumulated directly:
         #
         # * integral sizes+capacities (the common case — the paper's
         #   workloads and the scaling benchmarks use whole data units):
-        #   an int64 ledger is updated and mirrored into ``_free``, so
-        #   every published value is exact;
+        #   a Python-int ledger is updated and mirrored into the free
+        #   buffer, so every published value is exact;
         # * fractional inputs: Neumaier compensated summation over the
         #   deltas, published as ``raw + compensation`` after every
         #   mutation, keeping the error at a single rounding instead of
@@ -79,15 +132,22 @@ class SystemState:
             )
         )
         if exact:
-            self._sizes_int = sizes.astype(np.int64)
-            self._free_int = np.rint(self._free).astype(np.int64)
-            self._free[:] = self._free_int
-            self._free_comp = None
+            self._sizes_int: Optional[List[int]] = [int(v) for v in sizes.tolist()]
+            self._free_int: Optional[List[int]] = (
+                np.rint(free).astype(np.int64).tolist()
+            )
+            self._free_buf = array("d", self._free_int)
+            self._free_comp: Optional[List[float]] = None
+            self._free_raw: Optional[List[float]] = None
         else:
             self._sizes_int = None
             self._free_int = None
-            self._free_comp = np.zeros_like(self._free)
-            self._free_raw = self._free.copy()
+            self._free_buf = array("d", free.tolist())
+            self._free_comp = [0.0] * m
+            self._free_raw = free.tolist()
+        self._free = np.frombuffer(self._free_buf, dtype=np.float64)
+        self._sizes: List[float] = sizes.tolist()
+        self._rows = _CostRows(instance.costs)
         # One nonzero over the placement, row-major: each object's
         # holders arrive in ascending server order, as a per-column
         # flatnonzero would give them.
@@ -105,19 +165,21 @@ class SystemState:
     # ------------------------------------------------------------------
     def _free_add(self, server: int, obj: int, sign: int) -> None:
         """Adjust ``server``'s free space by ``sign * sizes[obj]`` exactly."""
-        if self._free_int is not None:
-            self._free_int[server] += sign * self._sizes_int[obj]
-            self._free[server] = self._free_int[server]
+        ints = self._free_int
+        if ints is not None:
+            value = ints[server] + sign * self._sizes_int[obj]
+            ints[server] = value
+            self._free_buf[server] = value
             return
-        delta = sign * float(self.instance.sizes[obj])
-        raw = float(self._free_raw[server])
+        delta = sign * self._sizes[obj]
+        raw = self._free_raw[server]
         total = raw + delta
         if abs(raw) >= abs(delta):
             self._free_comp[server] += (raw - total) + delta
         else:
             self._free_comp[server] += (delta - total) + raw
         self._free_raw[server] = total
-        self._free[server] = total + self._free_comp[server]
+        self._free_buf[server] = total + self._free_comp[server]
 
     # ------------------------------------------------------------------
     # queries
@@ -132,21 +194,30 @@ class SystemState:
 
         The dummy server holds everything by definition.
         """
-        if server == self.dummy:
+        if server == self._dummy:
             return True
-        return bool(self._holds[server, obj])
+        if not 0 <= obj < self._n:
+            raise IndexError(f"object index {obj} out of range [0, {self._n})")
+        return self._cells[server * self._n + obj] == 1
 
     def free_space(self, server: int) -> float:
         """Remaining storage at ``server`` (``inf`` for the dummy)."""
-        if server == self.dummy:
+        if server == self._dummy:
             return float("inf")
-        return float(self._free[server])
+        return self._free_buf[server]
 
     def free_array(self) -> np.ndarray:
-        """Read-only view of per-server free storage (real servers only)."""
+        """Read-only live view of per-server free storage (real servers
+        only); it tracks every later mutation of this state."""
         view = self._free.view()
         view.setflags(write=False)
         return view
+
+    @property
+    def cost_rows(self) -> Mapping[int, Sequence[float]]:
+        """``server -> server``'s row of the dummy-extended cost matrix,
+        each row converted on first lookup (treat as read-only)."""
+        return self._rows
 
     def replicators(self, obj: int) -> FrozenSet[int]:
         """Real servers currently replicating ``obj`` (dummy excluded)."""
@@ -181,7 +252,7 @@ class SystemState:
         the lowest server index for determinism.
         """
         return _nearest(
-            self.instance.costs[server],
+            self._rows[server],
             self._dummy,
             self._replicators[obj],
             server,
@@ -195,7 +266,7 @@ class SystemState:
         real replicators exist.
         """
         return _nearest_pair(
-            self.instance.costs[server],
+            self._rows[server],
             self._dummy,
             self._replicators[obj],
             server,
@@ -203,7 +274,7 @@ class SystemState:
 
     def nearest_cost(self, server: int, obj: int) -> float:
         """Per-unit cost to the nearest current source of ``obj``."""
-        return float(self.instance.costs[server, self.nearest(server, obj)])
+        return self._rows[server][self.nearest(server, obj)]
 
     # ------------------------------------------------------------------
     # action semantics
@@ -239,10 +310,11 @@ class SystemState:
                 return f"source S_{j} does not replicate O_{k}"
             if self.holds(i, k):
                 return f"target S_{i} already replicates O_{k}"
-            if self._free[i] + CAPACITY_EPS < self.instance.sizes[k]:
+            free, size = self._free_buf[i], self._sizes[k]
+            if free + CAPACITY_EPS < size:
                 return (
                     f"target S_{i} lacks space for O_{k} "
-                    f"(free={self._free[i]:.6g}, size={self.instance.sizes[k]:.6g})"
+                    f"(free={free:.6g}, size={size:.6g})"
                 )
             return None
         if isinstance(action, Delete):
@@ -285,7 +357,7 @@ class SystemState:
         free-space ledger and the version counter — is identical to
         :meth:`apply`.
         """
-        self._holds[target, obj] = 1
+        self._cells[target * self._n + obj] = 1
         self._free_add(target, obj, -1)
         self._replicators[obj].add(target)
         self.versions[obj] += 1
@@ -296,7 +368,7 @@ class SystemState:
         Trusted counterpart of :meth:`apply_transfer_trusted`; the caller
         must guarantee ``server`` currently replicates ``obj``.
         """
-        self._holds[server, obj] = 0
+        self._cells[server * self._n + obj] = 0
         self._free_add(server, obj, 1)
         self._replicators[obj].discard(server)
         self.versions[obj] += 1
@@ -329,15 +401,15 @@ class SystemState:
         if isinstance(action, Transfer):
             i, k = action.target, action.obj
             self._check_undoable(action, i)
-            if not self._holds[i, k]:
+            if not self.holds(i, k):
                 raise InvalidActionError(f"cannot undo {action}: replica absent")
             self.apply_delete_trusted(i, k)
         elif isinstance(action, Delete):
             i, k = action.server, action.obj
             self._check_undoable(action, i)
-            if self._holds[i, k]:
+            if self.holds(i, k):
                 raise InvalidActionError(f"cannot undo {action}: replica present")
-            if self._free[i] + CAPACITY_EPS < self.instance.sizes[k]:
+            if self._free_buf[i] + CAPACITY_EPS < self._sizes[k]:
                 raise InvalidActionError(f"cannot undo {action}: no space left")
             self.apply_transfer_trusted(i, k)
         else:
@@ -373,20 +445,28 @@ class SystemState:
     # lifecycle
     # ------------------------------------------------------------------
     def copy(self) -> "SystemState":
-        """Deep copy (the shared immutable instance is not duplicated)."""
+        """Deep copy: every mutable buffer is duplicated (the immutable
+        instance and the cost-row cache are shared)."""
         dup = object.__new__(SystemState)
         dup.instance = self.instance
         dup._dummy = self._dummy
-        dup._holds = self._holds.copy()
-        dup._free = self._free.copy()
+        dup._n = self._n
+        dup._cells = bytearray(self._cells)
+        dup._holds = np.frombuffer(dup._cells, dtype=np.int8).reshape(
+            self._holds.shape
+        )
+        dup._free_buf = array("d", self._free_buf)
+        dup._free = np.frombuffer(dup._free_buf, dtype=np.float64)
         dup._sizes_int = self._sizes_int
+        dup._sizes = self._sizes
+        dup._rows = self._rows
         if self._free_int is not None:
-            dup._free_int = self._free_int.copy()
-            dup._free_comp = None
+            dup._free_int = list(self._free_int)
+            dup._free_comp = dup._free_raw = None
         else:
             dup._free_int = None
-            dup._free_comp = self._free_comp.copy()
-            dup._free_raw = self._free_raw.copy()
+            dup._free_comp = list(self._free_comp)
+            dup._free_raw = list(self._free_raw)
         dup._replicators = [set(s) for s in self._replicators]
         dup.versions = list(self.versions)
         return dup
@@ -394,5 +474,5 @@ class SystemState:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SystemState(replicas={int(self._holds.sum())}, "
-            f"free_min={float(self._free.min()):.4g})"
+            f"free_min={float(self._free.min(initial=np.inf)):.4g})"
         )

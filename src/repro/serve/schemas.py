@@ -26,6 +26,7 @@ import numpy as np
 from repro.io import instance_from_dict, instance_to_dict
 from repro.model.instance import RtspInstance
 from repro.util.errors import ConfigurationError
+from repro.util.validation import binary_rows_matrix, decode_binary_rows
 
 __all__ = [
     "PLAN_REQUEST_FORMAT",
@@ -157,35 +158,6 @@ def _number_list(value: Any, key: str) -> List[float]:
     return out
 
 
-def _binary_matrix(value: Any, key: str) -> List[List[int]]:
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{key} must be a non-empty list of rows")
-    rows: List[List[int]] = []
-    width = None
-    for row in value:
-        if not isinstance(row, list):
-            raise SchemaError(f"{key} rows must be lists")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaError(f"{key} rows must have equal length")
-        # Fast path, at C speed: a row of exact ints (bools are their own
-        # type) that are all 0 or 1 is already in decoded form. Any other
-        # row takes the per-cell loop, which rejects or converts it.
-        if set(map(type, row)) <= {int} and (
-            row.count(0) + row.count(1) == len(row)
-        ):
-            rows.append(row)
-            continue
-        cells: List[int] = []
-        for cell in row:
-            if isinstance(cell, bool) or cell not in (0, 1):
-                raise SchemaError(f"{key} entries must be 0/1, got {cell!r}")
-            cells.append(int(cell))
-        rows.append(cells)
-    return rows
-
-
 # ----------------------------------------------------------------------
 # plan requests
 # ----------------------------------------------------------------------
@@ -219,8 +191,8 @@ class PlacementDelta:
             topology=topology,
             sizes=_number_list(data.get("sizes"), "delta.sizes"),
             capacities=_number_list(data.get("capacities"), "delta.capacities"),
-            x_old=_binary_matrix(data.get("x_old"), "delta.x_old"),
-            x_new=_binary_matrix(data.get("x_new"), "delta.x_new"),
+            x_old=decode_binary_rows(data.get("x_old"), "delta.x_old", SchemaError)[0],
+            x_new=decode_binary_rows(data.get("x_new"), "delta.x_new", SchemaError)[0],
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -239,8 +211,8 @@ class PlacementDelta:
                 sizes=np.asarray(self.sizes, dtype=np.float64),
                 capacities=np.asarray(self.capacities, dtype=np.float64),
                 costs=np.asarray(costs, dtype=np.float64),
-                x_old=np.asarray(self.x_old, dtype=np.int8),
-                x_new=np.asarray(self.x_new, dtype=np.int8),
+                x_old=binary_rows_matrix(self.x_old),
+                x_new=binary_rows_matrix(self.x_new),
             )
         except ConfigurationError:
             raise

@@ -7,7 +7,7 @@ boundaries rather than deep inside a heuristic.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -24,6 +24,64 @@ def check_binary_matrix(x: np.ndarray, name: str = "matrix") -> np.ndarray:
     if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ConfigurationError(f"{name} must contain only 0/1 entries")
     return arr.astype(np.int8, copy=False)
+
+
+#: The two byte values a packed 0/1 row may contain.
+_BINARY_BYTES = bytes((0, 1))
+
+
+def decode_binary_rows(
+    value: Any, name: str, error: Type[Exception] = ConfigurationError
+) -> Tuple[List[List[int]], List[bytes]]:
+    """Strictly decode a JSON 0/1 matrix: a non-empty list of equal-length
+    lists whose cells are 0 or 1.
+
+    Returns the rows with every cell an ``int``, and each row packed as
+    ``bytes`` for :func:`binary_rows_matrix`. A row of exact ints is
+    kept as is, and its check runs at C speed: ``bytes(row)`` rejects
+    anything that is neither an int nor in 0-255, ``translate`` leaves
+    nothing of a 0/1 row, and a type check rejects ``bool`` and every
+    other int look-alike. Any other row takes a per-cell loop that
+    accepts the integral floats 0.0/1.0 and rejects everything else,
+    booleans included, raising ``error`` with a message naming ``name``.
+    """
+    if not isinstance(value, list) or not value:
+        raise error(f"{name} must be a non-empty list of rows")
+    rows: List[List[int]] = []
+    packed: List[bytes] = []
+    width = len(value[0]) if isinstance(value[0], list) else None
+    for row in value:
+        if not isinstance(row, list):
+            raise error(f"{name} rows must be lists")
+        if len(row) != width:
+            raise error(f"{name} rows must have equal length")
+        try:
+            data = bytes(row)
+        except (TypeError, ValueError):
+            data = None
+        if (
+            data is None
+            or data.translate(None, _BINARY_BYTES)
+            or not set(map(type, row)) <= {int}
+        ):
+            cells: List[int] = []
+            for cell in row:
+                if isinstance(cell, bool) or cell not in (0, 1):
+                    raise error(f"{name} entries must be 0/1, got {cell!r}")
+                cells.append(int(cell))
+            row, data = cells, bytes(cells)
+        rows.append(row)
+        packed.append(data)
+    return rows, packed
+
+
+def binary_rows_matrix(rows: Sequence[Any]) -> np.ndarray:
+    """The read-only ``int8`` matrix of decoded 0/1 rows (int lists or
+    packed ``bytes``), built with one ``bytes`` join instead of a
+    nested-list conversion."""
+    width = len(rows[0]) if rows else 0
+    packed = b"".join(map(bytes, rows))
+    return np.frombuffer(packed, dtype=np.int8).reshape(len(rows), width)
 
 
 def check_nonnegative(values: Sequence[float], name: str = "values") -> np.ndarray:

@@ -84,6 +84,36 @@ class TestInstanceRoundTrip:
         with pytest.raises(ConfigurationError, match="0/1"):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize("key,value", [("x_old", 1), ("x_new", 0)])
+    def test_rejects_boolean_placement_cells(self, instance, key, value):
+        # JSON true/false are not 0/1 entries, whether one cell or a
+        # whole row of them; deltas reject them the same way.
+        data = instance_to_dict(instance)
+        i, k = np.argwhere(getattr(instance, key) == value)[0]
+        data[key][i][k] = bool(value)
+        with pytest.raises(ConfigurationError, match="0/1"):
+            instance_from_dict(data)
+        data = instance_to_dict(instance)
+        data[key][i] = [bool(cell) for cell in data[key][i]]
+        with pytest.raises(ConfigurationError, match="0/1"):
+            instance_from_dict(data)
+
+    def test_accepts_integral_float_placement_cells(self, instance):
+        data = instance_to_dict(instance)
+        data["x_old"] = [[float(cell) for cell in row] for row in data["x_old"]]
+        restored = instance_from_dict(data)
+        assert restored.x_old.dtype == np.int8
+        assert (restored.x_old == instance.x_old).all()
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 0], [0]], [(1, 0)], [[1, "0"]], [[None, 1]], [[2, 0]], []]
+    )
+    def test_rejects_malformed_placement_rows(self, instance, rows):
+        data = instance_to_dict(instance)
+        data["x_new"] = rows
+        with pytest.raises(ConfigurationError):
+            instance_from_dict(data)
+
     def test_revalidates_feasibility(self, instance):
         data = instance_to_dict(instance)
         data["capacities"] = [0.0] * instance.num_servers

@@ -141,6 +141,16 @@ class TestPlanRequest:
         with pytest.raises(SchemaError, match="0/1"):
             plan_request_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["x_old", "x_new"])
+    def test_rejects_boolean_instance_cell(self, small_instance, key):
+        # The same strictness as a delta (test_delta_strictness): a JSON
+        # true is not a 0/1 entry.
+        payload = plan_payload(small_instance)
+        i, k = (int(v) for v in np.argwhere(getattr(small_instance, key) == 1)[0])
+        payload["instance"][key][i][k] = True
+        with pytest.raises(SchemaError, match="0/1"):
+            plan_request_from_dict(payload)
+
     def test_rejects_non_object(self):
         with pytest.raises(SchemaError):
             plan_request_from_dict(["not", "an", "object"])
