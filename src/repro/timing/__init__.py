@@ -8,12 +8,12 @@ study's substrate:
 * :mod:`repro.timing.bandwidth` — link bandwidth models,
 * :mod:`repro.timing.dag` — a conservative dependency DAG extracted from
   a sequential schedule (any topological execution order is valid),
-* :mod:`repro.timing.executor` — a discrete-event simulator executing a
-  schedule with per-server transfer-slot constraints, reporting makespan
-  and per-action start/finish times,
-* :mod:`repro.timing.faulted` — the failure-aware variant of that event
-  loop (transfer failures, server crashes, link slowdowns) feeding
-  :mod:`repro.robust`,
+* :mod:`repro.timing.faulted` — the package's one discrete-event loop:
+  it executes a schedule with per-server transfer-slot constraints and
+  injected faults (transfer failures, server crashes, link slowdowns)
+  feeding :mod:`repro.robust`,
+* :mod:`repro.timing.executor` — that loop with no faults, reporting
+  makespan, critical path and per-action start/finish times,
 * :mod:`repro.timing.deadline` — deadline checks and per-pipeline
   makespan comparison helpers,
 * :mod:`repro.timing.gantt` — ASCII Gantt rendering of executions.
@@ -26,7 +26,6 @@ from repro.timing.bandwidth import bandwidths_from_costs, uniform_bandwidths
 from repro.timing.dag import build_dependency_dag, critical_path_length
 from repro.timing.executor import (
     ExecutionResult,
-    TimedAction,
     sequential_makespan,
     simulate_parallel,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "build_dependency_dag",
     "critical_path_length",
     "ExecutionResult",
-    "TimedAction",
     "sequential_makespan",
     "simulate_parallel",
     "FaultedAction",

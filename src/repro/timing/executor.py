@@ -1,10 +1,14 @@
-"""Discrete-event execution of RTSP schedules.
+"""Fault-free execution of RTSP schedules.
 
 :func:`simulate_parallel` list-schedules a sequential schedule's
 dependency DAG onto a system where each server can run a bounded number
-of concurrent incoming/outgoing transfers ("NIC slots"). Because the DAG
-is conservative (see :mod:`repro.timing.dag`), the produced timed trace
-respects every RTSP precondition by construction.
+of concurrent incoming/outgoing transfers ("NIC slots"). It is the event
+loop of :mod:`repro.timing.faulted` run with no faults on a fresh
+:class:`~repro.model.state.SystemState`, so it shares that loop's
+admission order, tie-breaking and float arithmetic by construction, and
+an invalid schedule raises
+:class:`~repro.util.errors.InvalidActionError` when its first invalid
+action finishes.
 
 Deletions are instantaneous (metadata operations); transfers take
 ``size / bandwidth`` time units.
@@ -12,41 +16,29 @@ Deletions are instantaneous (metadata operations); transfers take
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from operator import attrgetter
+from typing import List
 
 import numpy as np
 
-from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
 from repro.model.schedule import Schedule
-from repro.obs.context import current_metrics
-from repro.timing.bandwidth import transfer_duration
+from repro.model.state import SystemState
 from repro.timing.dag import build_dependency_dag, critical_path_length
-from repro.util.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class TimedAction:
-    """One action with its simulated start/finish times."""
-
-    position: int
-    action: Action
-    start: float
-    finish: float
-
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
+from repro.timing.faulted import FaultedAction, _durations, _event_loop
 
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome of a simulated execution."""
+    """Outcome of a simulated execution.
+
+    ``trace`` holds one ``"ok"`` :class:`FaultedAction` per scheduled
+    action, in schedule-position order.
+    """
 
     makespan: float
-    trace: List[TimedAction]
+    trace: List[FaultedAction]
     critical_path: float
     sequential_time: float
 
@@ -56,25 +48,6 @@ class ExecutionResult:
         if self.makespan <= 0:
             return 1.0
         return self.sequential_time / self.makespan
-
-
-def _durations(
-    actions: Sequence[Action], instance: RtspInstance, bandwidths: np.ndarray
-) -> List[float]:
-    out: List[float] = []
-    for action in actions:
-        if isinstance(action, Transfer):
-            out.append(
-                transfer_duration(
-                    bandwidths,
-                    float(instance.sizes[action.obj]),
-                    action.target,
-                    action.source,
-                )
-            )
-        else:
-            out.append(0.0)
-    return out
 
 
 def sequential_makespan(
@@ -104,90 +77,21 @@ def simulate_parallel(
     endpoints have a free slot; ties break by schedule position, making
     the policy deterministic.
     """
-    if out_slots < 1 or in_slots < 1:
-        raise ConfigurationError("slot counts must be >= 1")
-    registry = current_metrics()
-    if registry is None:
-        c_started = h_queue = h_flight = None
-    else:
-        c_started = registry.counter("executor.transfers_started")
-        h_queue = registry.histogram("executor.queue_depth")
-        h_flight = registry.histogram("executor.in_flight")
     actions = schedule.actions()
-    n = len(actions)
     dag = build_dependency_dag(actions, instance)
     durations = _durations(actions, instance, bandwidths)
-
-    indegree = {node: dag.in_degree(node) for node in range(n)}
-    ready = [node for node in range(n) if indegree[node] == 0]
-    heapq.heapify(ready)
-
-    dummy = instance.dummy
-    out_used = np.zeros(instance.num_servers + 1, dtype=np.int64)
-    in_used = np.zeros(instance.num_servers + 1, dtype=np.int64)
-
-    #: (finish_time, position) of running transfers
-    running: List[tuple] = []
-    trace: List[Optional[TimedAction]] = [None] * n
-    now = 0.0
-    completed = 0
-    blocked: List[int] = []  # ready but waiting for a slot
-
-    def try_start(pos: int) -> bool:
-        action = actions[pos]
-        if isinstance(action, Transfer):
-            i, j = action.target, action.source
-            if j != dummy and out_used[j] >= out_slots:
-                return False
-            if in_used[i] >= in_slots:
-                return False
-            if j != dummy:
-                out_used[j] += 1
-            in_used[i] += 1
-            if c_started is not None:
-                c_started.value += 1
-            finish = now + durations[pos]
-            heapq.heappush(running, (finish, pos))
-            trace[pos] = TimedAction(pos, action, now, finish)
-            return True
-        # deletions complete instantly
-        trace[pos] = TimedAction(pos, action, now, now)
-        heapq.heappush(running, (now, pos))
-        return True
-
-    while completed < n:
-        # admit every ready action a slot allows, in schedule order
-        still_blocked: List[int] = []
-        candidates = sorted(blocked + [heapq.heappop(ready) for _ in range(len(ready))])
-        if h_queue is not None:
-            h_queue.observe(len(candidates))
-        for pos in candidates:
-            if not try_start(pos):
-                still_blocked.append(pos)
-        blocked = still_blocked
-        if h_flight is not None:
-            h_flight.observe(len(running))
-
-        if not running:
-            raise ConfigurationError(
-                "execution stalled: dependency DAG has no runnable action"
-            )
-        now, pos = heapq.heappop(running)
-        completed += 1
-        action = actions[pos]
-        if isinstance(action, Transfer):
-            if action.source != dummy:
-                out_used[action.source] -= 1
-            in_used[action.target] -= 1
-        for succ in dag.successors(pos):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-
-    makespan = max((t.finish for t in trace if t is not None), default=0.0)
+    run = _event_loop(
+        actions,
+        dag,
+        durations,
+        instance,
+        SystemState(instance),
+        out_slots=out_slots,
+        in_slots=in_slots,
+    )
     return ExecutionResult(
-        makespan=makespan,
-        trace=[t for t in trace if t is not None],
+        makespan=run.stop_time,
+        trace=sorted(run.trace, key=attrgetter("position")),
         critical_path=critical_path_length(dag, durations),
         sequential_time=float(sum(durations)),
     )

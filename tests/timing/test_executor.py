@@ -9,7 +9,7 @@ from repro.model.schedule import Schedule
 from repro.timing.bandwidth import bandwidths_from_costs, uniform_bandwidths
 from repro.timing.deadline import makespan_by_pipeline, meets_deadline
 from repro.timing.executor import sequential_makespan, simulate_parallel
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, InvalidActionError
 from repro.workloads.regular import paper_instance
 
 
@@ -115,6 +115,16 @@ class TestSmallScenarios:
         bw = uniform_bandwidths(3)
         with pytest.raises(ConfigurationError):
             simulate_parallel(Schedule(), tiny_instance, bw, out_slots=0)
+
+    def test_invalid_schedule_raises(self, tiny_instance):
+        # S1 does not hold O0, so the transfer has no source replica.
+        bw = uniform_bandwidths(3)
+        schedule = Schedule([Transfer(2, 0, 1), Delete(0, 0)])
+        with pytest.raises(InvalidActionError) as excinfo:
+            simulate_parallel(schedule, tiny_instance, bw)
+        assert excinfo.value.position == 0
+        with pytest.raises(InvalidActionError):
+            meets_deadline(schedule, tiny_instance, float("inf"), bw)
 
     def test_empty_schedule(self, tiny_instance):
         bw = uniform_bandwidths(3)
