@@ -199,6 +199,19 @@ class TestFaultPlanRoundTrip:
         with pytest.raises(ConfigurationError):
             fault_plan_from_dict(data)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_rejects_non_finite_numbers(self, token):
+        # json.loads accepts the NaN and Infinity tokens.
+        for key, row in (
+            ("crashes", f"[[{token}, 0]]"),
+            ("slowdowns", f"[[{token}, 0, 1, 2.0]]"),
+            ("slowdowns", f"[[0.0, 0, 1, {token}]]"),
+        ):
+            data = fault_plan_to_dict(self.plan())
+            data[key] = json.loads(row)
+            with pytest.raises(ConfigurationError, match="finite"):
+                fault_plan_from_dict(data)
+
 
 class TestFailureTraceRoundTrip:
     @pytest.fixture(scope="class")
