@@ -364,12 +364,15 @@ class PlanningService:
                 if request.shards is not None:
                     from repro.shard import plan_sharded
 
+                    # A strict request runs the oracle in
+                    # _validate_schedule; skip plan_sharded's own pass.
                     plan = plan_sharded(
                         instance,
                         request.pipeline,
                         shards=request.shards,
                         workers=1,
                         rng=request.seed,
+                        validate=request.validate != "strict",
                         mmap_costs=False,
                     )
                     return plan.schedule
