@@ -182,6 +182,9 @@ def fault_plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
         raise ConfigurationError(
             f"fault-plan JSON missing key {missing}"
         ) from None
+    except (TypeError, ValueError) as exc:
+        # A null, a string or a short row where a number belongs.
+        raise ConfigurationError(f"malformed fault-plan entry: {exc}") from exc
 
 
 def save_fault_plan(plan: FaultPlan, path) -> None:

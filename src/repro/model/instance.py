@@ -83,6 +83,12 @@ class RtspInstance:
         """
         sizes = check_positive(sizes, "sizes")
         capacities = check_nonnegative(capacities, "capacities")
+        for name, values in (("sizes", sizes), ("capacities", capacities)):
+            # ``min`` of an array holding NaN is NaN, which passes both
+            # checks above; the feasibility test would then call a
+            # malformed instance infeasible.
+            if np.isnan(values).any():
+                raise ConfigurationError(f"{name} must not contain NaN")
         x_old = check_binary_matrix(x_old, "X_old")
         x_new = check_binary_matrix(x_new, "X_new")
         m, n = x_old.shape

@@ -79,6 +79,29 @@ class FaultPlan:
             if not math.isfinite(slow.time) or slow.time < 0:
                 raise ConfigurationError("slowdown time must be finite and >= 0")
 
+    def check_servers(self, num_servers: int) -> None:
+        """Reject events that name no server of an ``M``-server instance.
+
+        Crashes and slowdown targets must be real servers, ``[0, M)``;
+        a slowdown source may also be the dummy, index ``M``.
+        """
+        for crash in self.crashes:
+            if not 0 <= crash.server < num_servers:
+                raise ConfigurationError(
+                    f"crash server {crash.server} is not in [0, {num_servers})"
+                )
+        for slow in self.slowdowns:
+            if not 0 <= slow.target < num_servers:
+                raise ConfigurationError(
+                    f"slowdown target server {slow.target} is not in "
+                    f"[0, {num_servers})"
+                )
+            if not 0 <= slow.source <= num_servers:
+                raise ConfigurationError(
+                    f"slowdown source server {slow.source} is not in "
+                    f"[0, {num_servers}]"
+                )
+
     @property
     def is_empty(self) -> bool:
         """Whether the plan injects nothing at all."""

@@ -181,6 +181,7 @@ class RepairEngine:
         the independent invariant oracle from
         :mod:`repro.exact.validate`, ``None``/``False`` skips the check.
         """
+        plan.check_servers(instance.num_servers)
         seed = int(rng)
         registry = current_metrics()
         tracer = current_tracer()

@@ -2,7 +2,8 @@
 
 The library solves one X_old → X_new step in-process; a production
 deployment re-plans continuously, concurrently and over the wire. This
-package is that serving layer, built entirely on the standard library:
+package is that serving layer, built on the standard library's HTTP
+modules, with request and response bodies parsed and written by orjson:
 
 * :mod:`repro.serve.schemas` — versioned JSON request/response formats
   (``rtsp-plan-request/1`` ... ``rtsp-error/1``), strictly parsed;
@@ -19,7 +20,7 @@ package is that serving layer, built entirely on the standard library:
   (validate) and :mod:`repro.robust` (repair);
 * :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer``
   transport (``rtsp-tool serve``);
-* :mod:`repro.serve.client` — a stdlib client used by the tests and
+* :mod:`repro.serve.client` — a urllib client used by the tests and
   the end-to-end benchmark (``benchmarks/e2e``).
 
 Served schedules are byte-identical to the in-process library path for

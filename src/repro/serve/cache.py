@@ -24,14 +24,15 @@ design* (that is the reuse) and are separated by
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
+import orjson
 
 from repro.model.instance import RtspInstance
+from repro.serve.schemas import wire_json
 from repro.shard.mmapcost import MMAP_DEFAULT_BYTES, CostMatrixStore
 
 __all__ = [
@@ -171,10 +172,11 @@ class TopologyStore:
 
 
 class PlanCache:
-    """Bounded LRU of canonical plan-response JSON strings.
+    """Bounded LRU of plan responses, each held as its wire body.
 
     Keys are ``(instance_fingerprint, pipeline, seed, shards)``; the
-    value is the response's canonical JSON, so :meth:`get` hands back a
+    value is the response encoded by
+    :func:`~repro.serve.schemas.wire_json`, so :meth:`get` hands back a
     fresh dict each time (callers may annotate it without corrupting
     the cache). Thread-safe.
     """
@@ -183,7 +185,7 @@ class PlanCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, str]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, bytes]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -203,10 +205,10 @@ class PlanCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        return json.loads(blob)
+        return orjson.loads(blob)
 
     def put(self, key: Tuple, payload: Dict[str, Any]) -> None:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = wire_json(payload)
         with self._lock:
             self._entries[key] = blob
             self._entries.move_to_end(key)

@@ -1,4 +1,4 @@
-"""Minimal stdlib HTTP client for the planning service.
+"""Minimal HTTP client for the planning service (urllib plus orjson).
 
 Used by the serve test suite, the end-to-end benchmark
 (``benchmarks/e2e``) and as a reference for external callers: every
@@ -9,10 +9,11 @@ not raised, so callers can assert on them.
 
 from __future__ import annotations
 
-import json
 import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional, Tuple
+
+import orjson
 
 from repro.io import instance_to_dict
 from repro.model.instance import RtspInstance
@@ -21,6 +22,7 @@ from repro.serve.schemas import (
     PLAN_REQUEST_FORMAT,
     REPAIR_REQUEST_FORMAT,
     VALIDATE_REQUEST_FORMAT,
+    wire_json,
 )
 
 __all__ = ["ServeClient"]
@@ -46,7 +48,7 @@ class ServeClient:
         body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
+            body = wire_json(payload)
             headers["Content-Type"] = "application/json"
         req = urllib.request.Request(
             self.base_url + path, data=body, headers=headers, method=method
@@ -62,7 +64,7 @@ class ServeClient:
         raw = resp.read()
         content_type = resp.headers.get("Content-Type", "")
         if "json" in content_type:
-            return json.loads(raw)
+            return orjson.loads(raw)
         return raw.decode("utf-8")
 
     # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
+import orjson
 
 from repro.io import instance_from_dict, instance_to_dict
 from repro.model.instance import RtspInstance
@@ -46,6 +47,7 @@ __all__ = [
     "ValidateRequest",
     "RepairRequest",
     "canonical_json",
+    "wire_json",
     "error_payload",
     "plan_request_from_dict",
     "plan_request_to_dict",
@@ -91,6 +93,24 @@ def canonical_json(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_WIRE_OPTIONS = (
+    orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS
+)
+
+
+def wire_json(payload: Any) -> bytes:
+    """A payload as an HTTP body: compact UTF-8 JSON, keys sorted.
+
+    Encoded with orjson. It writes numpy scalars and non-string keys as
+    the stdlib does, and non-ASCII text as raw UTF-8. NaN and the
+    infinities become ``null``, and an integer outside 64 bits raises
+    ``TypeError``, so the body never holds a token the service's parser
+    rejects. The bytes may differ from :func:`canonical_json` (``1e16``
+    for ``1e+16``), but they decode to the same value.
+    """
+    return orjson.dumps(payload, option=_WIRE_OPTIONS)
+
+
 def error_payload(status: int, code: str, message: str) -> Dict[str, Any]:
     """The ``rtsp-error/1`` body every non-2xx response carries."""
     return {
@@ -129,12 +149,18 @@ def _opt_str(data: Mapping[str, Any], key: str, default: Optional[str]) -> Any:
     return value
 
 
-def _opt_int(data: Mapping[str, Any], key: str, default: Optional[int]) -> Any:
+def _opt_int(
+    data: Mapping[str, Any], key: str, default: Optional[int], low: int = 0
+) -> Any:
+    """An integer in ``[low, 2**64)``. A larger literal parses as a float
+    on the wire, and a seed below 0 would fail inside numpy."""
     value = data.get(key, default)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{key} must be an integer, got {value!r}")
+    if not low <= value < 1 << 64:
+        raise SchemaError(f"{key} must be in [{low}, 2**64), got {value}")
     return value
 
 
@@ -260,9 +286,7 @@ def plan_request_from_dict(data: Any) -> PlanRequest:
     mode = _opt_str(data, "mode", "sync")
     if mode not in PLAN_MODES:
         raise SchemaError(f"mode must be one of {PLAN_MODES}, got {mode!r}")
-    shards = _opt_int(data, "shards", None)
-    if shards is not None and shards < 1:
-        raise SchemaError(f"shards must be >= 1, got {shards}")
+    shards = _opt_int(data, "shards", None, low=1)
     validate = _opt_str(data, "validate", None)
     if validate not in VALIDATE_MODES:
         raise SchemaError(

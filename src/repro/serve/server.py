@@ -1,8 +1,10 @@
 """Stdlib HTTP transport for :class:`~repro.serve.service.PlanningService`.
 
 A :class:`ThreadingHTTPServer` (one daemon thread per connection)
-routing to the transport-independent service — no dependencies beyond
-the standard library, per the repository's no-new-hard-deps rule.
+routing to the transport-independent service. Bodies are parsed with
+``orjson.loads`` and written with :func:`~repro.serve.schemas.wire_json`:
+a body that is not UTF-8, or that holds ``NaN``, ``Infinity`` or a
+number that overflows a double, is a ``400 bad-json``.
 
 Routes::
 
@@ -22,13 +24,14 @@ workers) can pipeline requests over one socket.
 
 from __future__ import annotations
 
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.serve.schemas import error_payload
+import orjson
+
+from repro.serve.schemas import error_payload, wire_json
 from repro.serve.service import PlanningService, ServeConfig
 
 __all__ = ["PlanningHTTPServer", "ServerHandle", "make_server", "run_server"]
@@ -61,7 +64,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Silence per-request stderr logging; /metrics is the log."""
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = wire_json(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -103,8 +106,8 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         raw = self.rfile.read(length)
         try:
-            return json.loads(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError as exc:
             self._send_error_json(400, "bad-json",
                                   f"request body is not valid JSON: {exc}")
             return None

@@ -453,6 +453,7 @@ class PlanningService:
         try:
             request = repair_request_from_dict(data)
             plan = fault_plan_from_dict(request.fault_plan)
+            plan.check_servers(request.instance.num_servers)
             build_pipeline(request.pipeline)
         except BaseException as exc:  # noqa: BLE001 - mapped to a status
             return self._error(exc)

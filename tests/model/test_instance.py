@@ -68,6 +68,15 @@ class TestConstruction:
                 x_new=np.array([[0], [1]], dtype=np.int8),
             )
 
+    @pytest.mark.parametrize(
+        "field", [{"sizes": (np.nan, 1.0)}, {"capacities": (2.0, np.nan)}]
+    )
+    def test_nan_sizes_and_capacities_rejected(self, field):
+        # ``min`` of an array holding NaN is NaN, which passes both the
+        # positivity and the non-negativity check.
+        with pytest.raises(ConfigurationError, match="NaN"):
+            make(**field)
+
 
 class TestFeasibility:
     def test_infeasible_old_scheme(self):

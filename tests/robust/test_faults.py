@@ -90,3 +90,26 @@ class TestPlanValueObject:
             FaultPlan(slowdowns=(LinkSlowdown(value, 0, 1, 2.0),))
         with pytest.raises(ConfigurationError, match="finite"):
             FaultPlan(slowdowns=(LinkSlowdown(0.0, 0, 1, value),))
+
+    def test_generated_plans_name_only_instance_servers(self, instance):
+        for seed in range(5):
+            plan = FaultPlan.generate(instance, 0.5, seed=seed, horizon=9.0)
+            plan.check_servers(instance.num_servers)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(crashes=(ServerCrash(0.0, 10),)),
+            FaultPlan(crashes=(ServerCrash(0.0, -1),)),
+            FaultPlan(slowdowns=(LinkSlowdown(0.0, 10, 1, 2.0),)),
+            FaultPlan(slowdowns=(LinkSlowdown(0.0, 1, 11, 2.0),)),
+            FaultPlan(slowdowns=(LinkSlowdown(0.0, 1, -3, 2.0),)),
+        ],
+    )
+    def test_out_of_range_servers_rejected(self, instance, plan):
+        from repro.robust import execute_with_repair
+
+        with pytest.raises(ConfigurationError, match="server"):
+            plan.check_servers(instance.num_servers)
+        with pytest.raises(ConfigurationError, match="server"):
+            execute_with_repair(instance, plan, pipeline="GOLCF", rng=0)

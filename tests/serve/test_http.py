@@ -9,11 +9,13 @@ import urllib.request
 
 import pytest
 
+from repro.io import instance_to_dict
 from repro.serve import ServeClient
 from repro.serve.schemas import (
     ERROR_FORMAT,
     HEALTH_FORMAT,
     JOB_FORMAT,
+    PLAN_REQUEST_FORMAT,
     PLAN_RESPONSE_FORMAT,
     REPAIR_RESPONSE_FORMAT,
     VALIDATE_RESPONSE_FORMAT,
@@ -26,6 +28,32 @@ PIPELINE = "GOLCF+H1"
 @pytest.fixture
 def client(server):
     return ServeClient(server.url, timeout=30.0)
+
+
+def plan_body(instance, **over):
+    body = {
+        "format": PLAN_REQUEST_FORMAT,
+        "pipeline": PIPELINE,
+        "seed": 1,
+        "instance": instance_to_dict(instance),
+    }
+    body.update(over)
+    return body
+
+
+def post_raw(server, data):
+    """POST ``data`` bytes to /v1/plan as they are; ``(status, body)``."""
+    req = urllib.request.Request(
+        server.url + "/v1/plan",
+        data=data,
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=10.0) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
 
 
 def poll_until_done(client, job_id, timeout=10.0):
@@ -141,19 +169,53 @@ class TestTransportErrors:
         assert status == 404
 
     def test_bad_json_body_400(self, server):
-        req = urllib.request.Request(
-            server.url + "/v1/plan",
-            data=b"{not json",
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=10.0) as resp:
-                status, body = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            status, body = exc.code, exc.read()
+        status, body = post_raw(server, b"{not json")
         assert status == 400
         assert json.loads(body)["error"] == "bad-json"
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]
+    )
+    def test_non_finite_number_400(self, server, small_instance, literal):
+        # The stdlib codec accepted these tokens; the body parser does not.
+        text = json.dumps(plan_body(small_instance))
+        text = text.replace('"sizes": [', f'"sizes": [{literal}, ', 1)
+        status, body = post_raw(server, text.encode("utf-8"))
+        assert status == 400
+        assert json.loads(body)["error"] == "bad-json"
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+    def test_non_utf8_body_400(self, server, small_instance, encoding):
+        data = json.dumps(plan_body(small_instance)).encode(encoding)
+        status, body = post_raw(server, data)
+        assert status == 400
+        assert json.loads(body)["error"] == "bad-json"
+
+    def test_seed_literal_beyond_64_bits_400(self, server, small_instance):
+        # An integer literal outside 64 bits parses as a float.
+        data = json.dumps(plan_body(small_instance, seed=2**70)).encode()
+        assert b"1180591620717411303424" in data
+        status, body = post_raw(server, data)
+        assert status == 400
+        payload = json.loads(body)
+        assert payload["error"] == "bad-request"
+        assert "seed" in payload["message"]
+
+    def test_largest_seed_round_trips(self, client, small_instance):
+        status, payload = client.plan(
+            instance=small_instance, pipeline=PIPELINE, seed=2**64 - 1
+        )
+        assert status == 200, payload
+        assert payload["seed"] == 2**64 - 1
+
+    def test_non_ascii_error_is_raw_utf8(self, server, small_instance):
+        status, body = post_raw(
+            server,
+            json.dumps(plan_body(small_instance, pipeline="GOLCF+Ω")).encode(),
+        )
+        assert status == 400
+        assert "Ω".encode("utf-8") in body
+        assert "Ω" in json.loads(body)["message"]
 
     def test_oversized_body_413(self, small_instance):
         from repro.serve import PlanningService, ServeConfig, ServerHandle

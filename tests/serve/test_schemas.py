@@ -98,7 +98,11 @@ class TestPlanRequest:
             {"mode": "eventually"},
             {"seed": "zero"},
             {"seed": True},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"seed": float(2**70)},  # how a 2**70 literal arrives over HTTP
             {"shards": 0},
+            {"shards": 2**64},
             {"validate": "paranoid"},
             {"timeout_seconds": -1},
             {"timeout_seconds": "fast"},

@@ -388,8 +388,8 @@ class TestRepairEndpoint:
     def test_non_finite_fault_plan_400(
         self, service, small_instance, crashes, slowdowns
     ):
-        # The HTTP layer decodes bodies with json.loads, which accepts
-        # the NaN and Infinity tokens.
+        # The HTTP layer rejects the NaN and Infinity tokens at the parse
+        # (400 bad-json), but in-process callers hand floats straight in.
         status, payload = service.repair(
             {
                 "format": REPAIR_REQUEST_FORMAT,
@@ -407,6 +407,126 @@ class TestRepairEndpoint:
         assert status == 400, payload
         check_response_format(payload, ERROR_FORMAT)
         assert "finite" in payload["message"]
+
+    @staticmethod
+    def repair_payload(instance, crashes=(), slowdowns=()):
+        return {
+            "format": REPAIR_REQUEST_FORMAT,
+            "instance": instance_to_dict(instance),
+            "fault_plan": {
+                "format": "rtsp-fault-plan/1",
+                "transfer_faults": [],
+                "crashes": crashes,
+                "slowdowns": slowdowns,
+            },
+            "pipeline": PIPELINE,
+            "seed": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "crashes, slowdowns",
+        [
+            ([[0.0, 99]], []),
+            ([[0.0, -1]], []),
+            ([[0.0, 10]], []),  # index M is the dummy, which holds nothing
+            ([], [[0.0, 99, 0, 2.0]]),  # link 0 -> 99
+            ([], [[0.0, 1, -3, 2.0]]),  # link -3 -> 1
+            ([], [[0.0, 10, 1, 2.0]]),  # nothing is ever sent to the dummy
+            ([], [[0.0, 1, 11, 2.0]]),
+        ],
+    )
+    def test_fault_plan_server_out_of_range_400(
+        self, service, small_instance, crashes, slowdowns
+    ):
+        status, payload = service.repair(
+            self.repair_payload(small_instance, crashes, slowdowns)
+        )
+        assert status == 400, payload
+        check_response_format(payload, ERROR_FORMAT)
+        assert payload["error"] == "bad-request"
+        assert "server" in payload["message"]
+        assert service.queue.counts() == {}  # rejected before queueing
+
+    @pytest.mark.parametrize(
+        "crashes, slowdowns",
+        [
+            # ServeClient writes a NaN crash time as null.
+            ([[None, 0]], []),
+            ([[0.0, None]], []),
+            ([[0.0]], []),
+            ([["soon", 1]], []),
+            ([], [[0.0, 1, 2]]),
+            ([], 5),
+        ],
+    )
+    def test_malformed_fault_entries_400(
+        self, service, small_instance, crashes, slowdowns
+    ):
+        status, payload = service.repair(
+            self.repair_payload(small_instance, crashes, slowdowns)
+        )
+        assert status == 400, payload
+        assert payload["error"] == "bad-request"
+        assert "malformed" in payload["message"]
+
+    def test_fault_plan_slowdown_from_the_dummy_accepted(
+        self, service, small_instance
+    ):
+        dummy = small_instance.dummy
+        status, payload = service.repair(
+            self.repair_payload(
+                small_instance, [[0.0, 9]], [[0.0, 1, dummy, 2.0]]
+            )
+        )
+        assert status == 200, payload
+        check_response_format(payload, REPAIR_RESPONSE_FORMAT)
+
+
+class TestSeedRange:
+    """Seeds are integers in ``[0, 2**64)`` on every endpoint."""
+
+    BAD_SEEDS = [-1, 2**64, 2**70]
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_plan_seed_out_of_range_400(self, service, small_instance, seed):
+        status, payload = service.plan(plan_payload(small_instance, seed=seed))
+        assert status == 400, payload
+        assert payload["error"] == "bad-request"
+        assert "seed" in payload["message"]
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_batch_seed_out_of_range_400(self, service, small_instance, seed):
+        status, payload = service.plan(
+            {
+                "format": BATCH_REQUEST_FORMAT,
+                "requests": [plan_payload(small_instance, seed=seed)],
+            }
+        )
+        assert status == 400, payload
+        assert payload["error"] == "bad-request"
+        assert "seed" in payload["message"]
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_repair_seed_out_of_range_400(self, service, small_instance, seed):
+        request = TestRepairEndpoint.repair_payload(small_instance)
+        request["seed"] = seed
+        status, payload = service.repair(request)
+        assert status == 400, payload
+        assert payload["error"] == "bad-request"
+        assert "seed" in payload["message"]
+
+
+class TestNonFiniteInstance:
+    """NaN sizes or capacities are a bad request, not an infeasible one."""
+
+    @pytest.mark.parametrize("field", ["sizes", "capacities"])
+    def test_nan_entry_400(self, service, small_instance, field):
+        request = plan_payload(small_instance)
+        request["instance"][field][0] = float("nan")
+        status, payload = service.plan(request)
+        assert status == 400, payload
+        assert payload["error"] == "bad-request"
+        assert "NaN" in payload["message"]
 
 
 class TestIntrospection:
