@@ -19,7 +19,11 @@ from repro.robust.faults import (
 )
 from repro.timing.faulted import FaultedAction
 from repro.util.errors import ConfigurationError
-from repro.util.validation import binary_rows_matrix, decode_binary_rows
+from repro.util.validation import (
+    binary_rows_matrix,
+    decode_binary_rows,
+    decode_number_list,
+)
 
 INSTANCE_FORMAT = "rtsp-instance/1"
 SCHEDULE_FORMAT = "rtsp-schedule/1"
@@ -53,10 +57,22 @@ def instance_from_dict(data: Dict[str, Any]) -> RtspInstance:
             f"expected format {INSTANCE_FORMAT!r}, got {data.get('format')!r}"
         )
     try:
+        costs = data["costs"]
+        if not isinstance(costs, list) or not costs:
+            raise ConfigurationError("costs must be a non-empty list of rows")
         return RtspInstance.create(
-            sizes=np.asarray(data["sizes"], dtype=np.float64),
-            capacities=np.asarray(data["capacities"], dtype=np.float64),
-            costs=np.asarray(data["costs"], dtype=np.float64),
+            # Strict numbers, as for a placement delta: "1" and JSON
+            # booleans are errors rather than a cast to 1.0.
+            sizes=np.asarray(decode_number_list(data["sizes"], "sizes")),
+            capacities=np.asarray(
+                decode_number_list(data["capacities"], "capacities")
+            ),
+            costs=np.asarray(
+                [
+                    decode_number_list(row, f"costs[{i}]")
+                    for i, row in enumerate(costs)
+                ]
+            ),
             # Strict 0/1 rows, as for a placement delta: 0.4 and JSON
             # booleans are errors rather than a 0 or a 1.
             x_old=binary_rows_matrix(decode_binary_rows(data["x_old"], "X_old")[1]),

@@ -7,6 +7,7 @@ import time
 import urllib.error
 import urllib.request
 
+import orjson
 import pytest
 
 from repro.io import instance_to_dict
@@ -20,6 +21,7 @@ from repro.serve.schemas import (
     REPAIR_RESPONSE_FORMAT,
     VALIDATE_RESPONSE_FORMAT,
     check_response_format,
+    wire_json,
 )
 
 PIPELINE = "GOLCF+H1"
@@ -113,6 +115,65 @@ class TestRoutes:
         assert isinstance(text, str) and "# TYPE" in text
         parsed = client.metrics_parsed()
         assert parsed["counters"]["rtsp_serve_requests_plan"] >= 1.0
+
+
+class TestPlanCacheHit:
+    """A sync hit on ``/v1/plan`` is written as the cache's stored bytes."""
+
+    def test_hit_body_is_the_wire_encoding(self, server, small_instance):
+        data = json.dumps(plan_body(small_instance, seed=4)).encode()
+        status, first = post_raw(server, data)
+        assert status == 200 and json.loads(first)["cache_hit"] is False
+        status, body = post_raw(server, data)
+        assert status == 200
+        assert body == wire_json(orjson.loads(body))
+        pairs = json.loads(body, object_pairs_hook=lambda pairs: pairs)
+        assert [key for key, _ in pairs] == sorted(key for key, _ in pairs)
+        reply = orjson.loads(body)
+        assert reply["cache_hit"] is True
+        status, in_process = server.service.plan(plan_body(small_instance, seed=4))
+        assert status == 200 and in_process["cache_hit"] is True
+        for payload in (reply, in_process):
+            assert isinstance(payload.pop("elapsed_seconds"), float)
+        assert reply == in_process
+        assert reply["schedule"] == json.loads(first)["schedule"]
+
+    def test_hit_parses_only_the_request(self, server, small_instance, monkeypatch):
+        import repro.serve.cache
+        import repro.serve.schemas
+        import repro.serve.service
+        import repro.serve.server
+
+        data = json.dumps(plan_body(small_instance, seed=6)).encode()
+        assert post_raw(server, data)[0] == 200
+        calls = {"loads": 0, "wire_json": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(orjson, "loads", counted("loads", orjson.loads))
+        for module in (
+            repro.serve.cache,
+            repro.serve.schemas,
+            repro.serve.service,
+            repro.serve.server,
+        ):
+            monkeypatch.setattr(
+                module, "wire_json", counted("wire_json", module.wire_json)
+            )
+        status, body = post_raw(server, data)
+        assert status == 200
+        assert calls == {"loads": 1, "wire_json": 0}
+        monkeypatch.undo()
+        assert orjson.loads(body)["cache_hit"] is True
+        counters = server.service.metrics.counter_values()
+        # The miss looked the key up twice: before queueing and in the job.
+        assert counters["serve.cache.plan.hits"] == 1
+        assert counters["serve.cache.plan.misses"] == 2
 
 
 class TestAsyncOverHttp:
