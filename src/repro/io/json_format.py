@@ -201,6 +201,10 @@ def fault_plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
     except (TypeError, ValueError) as exc:
         # A null, a string or a short row where a number belongs.
         raise ConfigurationError(f"malformed fault-plan entry: {exc}") from exc
+    except OverflowError:
+        raise ConfigurationError(
+            "fault-plan numbers must be finite, got an int beyond the double range"
+        ) from None
 
 
 def save_fault_plan(plan: FaultPlan, path) -> None:

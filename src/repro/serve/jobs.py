@@ -5,9 +5,9 @@ handler threads only parse, submit and wait, so plan CPU usage is
 bounded by the worker count no matter how many connections are open.
 
 Jobs are cooperative. A running job periodically calls
-:meth:`JobContext.check` (the service wires the check into the
-``on_event`` hook of the job's deep-progress tracer, so every builder
-heartbeat and shard completion is a cancellation point); ``check`` raises
+:meth:`JobContext.check` (the service runs every job under its own
+tracer, whose ``on_event`` hook calls it, so every builder heartbeat,
+shard completion and repair round is a cancellation point); ``check`` raises
 :class:`JobCancelled` / :class:`JobTimeout`, which the worker maps to
 the terminal ``cancelled`` / ``timeout`` states. Jobs still pending
 when their deadline passes, or cancelled before a worker picks them

@@ -175,7 +175,10 @@ def _opt_number(data: Mapping[str, Any], key: str) -> Optional[float]:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{key} must be a finite number") from None
 
 
 # ----------------------------------------------------------------------

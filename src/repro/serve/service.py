@@ -15,23 +15,21 @@ or not (sharded planning is itself byte-identical to direct planning
 per part-count, see :mod:`repro.shard`). The differential tests in
 ``tests/serve/`` enforce this.
 
-Deep progress: at most one running job at a time additionally installs
-a tracer and the service's metrics registry as its thread's
-observability context (:mod:`repro.obs.context`). The tracer's
-``on_event`` hook forwards builder heartbeats and shard completions to
-the job's progress events (``rtsp-trace/2`` event records), and every
-such event doubles as a cancellation/timeout checkpoint. The context is
-per thread, so concurrent jobs never see the deep job's tracer; they
-plan correctly and report coarser (job-level) progress.
+Observability: every queued job, plan or repair, runs under its own
+tracer and metrics registry (:meth:`PlanningService._submit`). The
+tracer forwards each event (builder heartbeat, shard completion, repair
+round) to the job's progress stream and then checkpoints, so a cancel
+or timeout lands at the job's next event. The registry is merged into
+the service's when the job ends, whatever its state; the merge keeps a
+gauge's maximum, not its last value.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import orjson
 
@@ -39,10 +37,10 @@ from repro.analysis.metrics import schedule_stats
 from repro.core.pipeline import build_pipeline
 from repro.io import fault_plan_from_dict, schedule_from_dict, schedule_to_dict
 from repro.model.instance import RtspInstance
-from repro.obs.context import use_metrics, use_tracer
+from repro.obs.context import observed
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Event, Tracer
 from repro.serve.cache import (
     PlanCache,
     TopologyStore,
@@ -50,6 +48,7 @@ from repro.serve.cache import (
 )
 from repro.serve.jobs import (
     DONE,
+    Job,
     JobCancelled,
     JobContext,
     JobNotFound,
@@ -104,10 +103,6 @@ class ServeConfig:
     default_timeout: Optional[float] = None
     #: Reject request bodies larger than this (transport-enforced).
     max_body_bytes: int = 64 * 1024 * 1024
-    #: Allow one job at a time to install deep (builder-level) progress.
-    deep_progress: bool = True
-    #: Cost-matrix spill policy (see :class:`CostMatrixStore`).
-    spill: object = "auto"
 
 
 #: One plan reply: a sync cache hit's wire body, or a payload dict.
@@ -155,12 +150,9 @@ class PlanningService:
             workers=self.config.workers, max_pending=self.config.max_pending
         )
         self.plan_cache = PlanCache(max_entries=self.config.plan_cache_entries)
-        self.topologies = TopologyStore(
-            max_entries=self.config.topology_entries, spill=self.config.spill
-        )
+        self.topologies = TopologyStore(max_entries=self.config.topology_entries)
         self.metrics = MetricsRegistry()
         self._mlock = threading.Lock()
-        self._deep_lock = threading.Lock()
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -178,8 +170,8 @@ class PlanningService:
         self.close()
 
     # ------------------------------------------------------------------
-    # metrics helpers (serve-side instruments share the registry with
-    # builder-side deep instrumentation; guard our own bumps)
+    # metrics and jobs (the service registry is written and read only
+    # under _mlock; jobs record into their own registries)
     # ------------------------------------------------------------------
     def _count(self, name: str, n: float = 1) -> None:
         with self._mlock:
@@ -188,6 +180,38 @@ class PlanningService:
     def _observe_ms(self, name: str, seconds: float) -> None:
         with self._mlock:
             self.metrics.histogram(name).observe(seconds * 1000.0)
+
+    def _submit(
+        self,
+        work: Callable[[JobContext], Dict[str, Any]],
+        kind: str,
+        timeout_seconds: Optional[float],
+        meta: Dict[str, Any],
+    ) -> Job:
+        """Queue ``work`` under its own observability context (see the
+        module docstring)."""
+
+        def run(ctx: JobContext) -> Dict[str, Any]:
+            def forward(event: Event) -> None:
+                ctx.job.record(event.name, **event.attrs)
+                ctx.check()
+
+            registry = MetricsRegistry()
+            try:
+                with observed(
+                    Tracer(meta={"job": ctx.job.id}, on_event=forward), registry
+                ):
+                    return work(ctx)
+            finally:
+                snapshot = registry.snapshot()
+                with self._mlock:
+                    self.metrics.merge(snapshot)
+
+        job = self.queue.submit(
+            run, kind=kind, timeout_seconds=timeout_seconds, meta=meta
+        )
+        self._count("serve.jobs.submitted")
+        return job
 
     # ------------------------------------------------------------------
     # POST /v1/plan
@@ -258,7 +282,7 @@ class PlanningService:
             if request.timeout_seconds is not None
             else self.config.default_timeout
         )
-        job = self.queue.submit(
+        job = self._submit(
             lambda ctx: self._run_plan(
                 ctx, request, instance, fingerprint, topo_key, key
             ),
@@ -266,7 +290,6 @@ class PlanningService:
             timeout_seconds=timeout,
             meta={"pipeline": request.pipeline, "seed": request.seed},
         )
-        self._count("serve.jobs.submitted")
         if request.mode == "async":
             return 202, job.snapshot()
         job.wait()
@@ -336,7 +359,7 @@ class PlanningService:
             objects=instance.num_objects,
             shards=request.shards or 0,
         )
-        schedule = self._build_schedule(ctx, request, instance)
+        schedule = self._build_schedule(request, instance)
         ctx.check()
         self._validate_schedule(request.validate, instance, schedule)
         stats = schedule_stats(schedule, instance)
@@ -366,47 +389,24 @@ class PlanningService:
         self.plan_cache.put(key, payload)
         return payload
 
-    def _build_schedule(
-        self, ctx: JobContext, request: PlanRequest, instance: RtspInstance
-    ):
-        deep = self.config.deep_progress and self._deep_lock.acquire(
-            blocking=False
-        )
-        try:
-            with ExitStack() as stack:
-                if deep:
-                    # Builder heartbeats land on the job's events and act
-                    # as cancellation checkpoints. One deep job at a
-                    # time: they all share the service's registry.
-                    def _forward(event: Any) -> None:
-                        ctx.job.record(event.name, **event.attrs)
-                        ctx.check()
+    @staticmethod
+    def _build_schedule(request: PlanRequest, instance: RtspInstance):
+        if request.shards is not None:
+            from repro.shard import plan_sharded
 
-                    deep_tracer = Tracer(
-                        meta={"job": ctx.job.id}, on_event=_forward
-                    )
-                    stack.enter_context(use_tracer(deep_tracer))
-                    stack.enter_context(use_metrics(self.metrics))
-                if request.shards is not None:
-                    from repro.shard import plan_sharded
-
-                    # A strict request runs the oracle in
-                    # _validate_schedule; skip plan_sharded's own pass.
-                    plan = plan_sharded(
-                        instance,
-                        request.pipeline,
-                        shards=request.shards,
-                        workers=1,
-                        rng=request.seed,
-                        validate=request.validate != "strict",
-                        mmap_costs=False,
-                    )
-                    return plan.schedule
-                pipeline = build_pipeline(request.pipeline)
-                return pipeline.run(instance, rng=request.seed)
-        finally:
-            if deep:
-                self._deep_lock.release()
+            # A strict request runs the oracle in _validate_schedule;
+            # skip plan_sharded's own pass.
+            plan = plan_sharded(
+                instance,
+                request.pipeline,
+                shards=request.shards,
+                workers=1,
+                rng=request.seed,
+                validate=request.validate != "strict",
+                mmap_costs=False,
+            )
+            return plan.schedule
+        return build_pipeline(request.pipeline).run(instance, rng=request.seed)
 
     @staticmethod
     def _validate_schedule(mode: Optional[str], instance, schedule) -> None:
@@ -485,13 +485,12 @@ class PlanningService:
             return self._error(exc)
         job = None
         try:
-            job = self.queue.submit(
+            job = self._submit(
                 lambda ctx: self._run_repair(ctx, request, plan),
                 kind="repair",
                 timeout_seconds=self.config.default_timeout,
                 meta={"pipeline": request.pipeline},
             )
-            self._count("serve.jobs.submitted")
             job.wait()
         except BaseException as exc:  # noqa: BLE001 - mapped to a status
             return self._error(exc)
@@ -572,16 +571,7 @@ class PlanningService:
     def metrics_text(self) -> str:
         """Prometheus text exposition of the service registry."""
         self._count("serve.requests.metrics")
-        # A deep-instrumented job may be registering instruments while
-        # we snapshot; registries are plain dicts, so retry the rare
-        # changed-size race instead of locking the builder hot path.
-        for _ in range(5):
-            try:
-                snapshot = self.metrics.snapshot()
-                break
-            except RuntimeError:  # pragma: no cover - timing-dependent
-                continue
-        else:  # pragma: no cover - timing-dependent
+        with self._mlock:
             snapshot = self.metrics.snapshot()
         return prometheus_text(snapshot)
 

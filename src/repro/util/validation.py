@@ -117,7 +117,8 @@ def decode_number_list(
     Returns the entries as floats. Strings such as ``"1"`` or ``"5e0"``
     and the booleans are rejected, raising ``error`` with a message
     naming ``name``, where a numpy cast would have taken them as
-    numbers. A list of exact ints and floats is checked by one type
+    numbers; so are ints beyond the double range, which ``float``
+    cannot convert. A list of exact ints and floats is checked by one type
     scan in C; any other list is checked entry by entry.
     """
     if not isinstance(value, list) or not value:
@@ -126,7 +127,10 @@ def decode_number_list(
         for item in value:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise error(f"{name} entries must be numbers, got {item!r}")
-    return list(map(float, value))
+    try:
+        return list(map(float, value))
+    except OverflowError:
+        raise error(f"{name} entries must be numbers in the double range") from None
 
 
 def binary_rows_matrix(rows: Sequence[Any]) -> np.ndarray:

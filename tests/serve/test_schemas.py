@@ -163,6 +163,11 @@ class TestPlanRequest:
             ("capacities", 1, "5e0"),
             ("costs", 1, "1"),
             ("costs", 1, True),
+            # float() of an int beyond the double range raises
+            # OverflowError, which must not surface as a 500.
+            pytest.param("sizes", 0, 10**400, id="sizes-0-int1e400"),
+            pytest.param("capacities", 1, 10**400, id="capacities-1-int1e400"),
+            pytest.param("costs", 1, 10**400, id="costs-1-int1e400"),
         ],
     )
     def test_rejects_non_number_instance_entries(
@@ -178,8 +183,25 @@ class TestPlanRequest:
         status, body = service.plan(payload)
         assert (status, body["error"]) == (400, "bad-request"), body
         assert "must be numbers" in body["message"]
+        status, body = service.validate(
+            {
+                "format": VALIDATE_REQUEST_FORMAT,
+                "instance": instance,
+                "schedule": {"format": "rtsp-schedule/1", "actions": []},
+            }
+        )
+        assert (status, body["error"]) == (400, "bad-request"), body
+        assert "must be numbers" in body["message"]
 
-    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "timeout",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10**400, id="int1e400"),
+        ],
+    )
     def test_rejects_non_finite_timeout(self, small_instance, service, timeout):
         payload = plan_payload(small_instance, timeout_seconds=timeout)
         with pytest.raises(SchemaError, match="finite"):
@@ -209,6 +231,8 @@ class TestPlanRequest:
             {"x_new": [[1, 0], [0, True]]},
             {"topology": ""},
             {"extra": 1},
+            pytest.param({"sizes": [10**400]}, id="sizes-int1e400"),
+            pytest.param({"capacities": [10**400]}, id="capacities-int1e400"),
         ],
     )
     def test_delta_strictness(self, small_instance, mutation):

@@ -8,10 +8,14 @@ import time
 
 import pytest
 
-import repro.serve.service as service_module
 from repro.core import build_pipeline
 from repro.io import instance_to_dict, schedule_to_dict
+from repro.obs.context import observed
+from repro.obs.export import parse_prometheus_text, sanitize_metric_name
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.serve import ServeConfig, PlanningService
+from repro.serve.jobs import Job
 from repro.serve.cache import topology_hash
 from repro.workloads import paper_instance
 from repro.serve.schemas import (
@@ -383,6 +387,11 @@ class TestRepairEndpoint:
             ("[[NaN, 0]]", "[]"),
             ("[]", "[[0.0, 0, 1, NaN]]"),
             ("[]", "[[0.0, 0, 1, Infinity]]"),
+            # Ints beyond the double range, which float() cannot convert.
+            pytest.param("[[1" + "0" * 400 + ", 0]]", "[]", id="crash-time-int1e400"),
+            pytest.param(
+                "[]", "[[0.0, 0, 1, 1" + "0" * 400 + "]]", id="slowdown-factor-int1e400"
+            ),
         ],
     )
     def test_non_finite_fault_plan_400(
@@ -560,58 +569,235 @@ class TestDefaultTimeout:
             assert payload["error"] == "timeout"
 
 
-class TestDeepProgressIsolation:
-    """Only the job holding the deep-progress slot sees its stream."""
+def busy_instance():
+    """20 servers x 300 objects: 600 GOLCF transfers, so a plan of it
+    records builder heartbeats at 256 and 512 transfers."""
+    return paper_instance(replicas=2, num_servers=20, num_objects=300, rng=1)
 
-    HELD_SEED = 11
 
-    def test_other_job_is_not_captured_by_the_deep_job(
-        self, monkeypatch, service, small_instance
-    ):
-        # 400 GOLCF transfers: past the 256-transfer builder heartbeat.
-        busy = paper_instance(
-            replicas=2, num_servers=20, num_objects=200, rng=1
+def in_process(instance, pipeline, seed):
+    """The schedule, ``builder.progress`` attrs and counters of one
+    in-process run under its own tracer and registry."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    with observed(tracer, registry):
+        schedule = build_pipeline(pipeline).run(instance, rng=seed)
+    progress = [e.attrs for e in tracer.events if e.name == "builder.progress"]
+    return schedule, progress, registry.counter_values()
+
+
+def finished(service, job_id):
+    """The job's snapshot once it is terminal (waits on its done event)."""
+    assert service.queue.get(job_id).wait(10.0)
+    return service.job(job_id)[1]
+
+
+def served_counters(service):
+    return parse_prometheus_text(service.metrics_text())["counters"]
+
+
+def progress_of(snapshot):
+    return [e["attrs"] for e in snapshot["events"] if e["name"] == "builder.progress"]
+
+
+class HeartbeatGates:
+    """Parks chosen plan jobs at their first builder heartbeat.
+
+    A job whose seed has a gate sets ``reached[seed]`` when it records
+    its first ``builder.progress`` and then waits, still inside its
+    builder, until ``release[seed]`` is set (bounded, so a broken run
+    fails instead of hanging).
+    """
+
+    def __init__(self, monkeypatch, *seeds):
+        self.reached = {seed: threading.Event() for seed in seeds}
+        self.release = {seed: threading.Event() for seed in seeds}
+        real_record = Job.record
+
+        def record(job, name, **attrs):
+            real_record(job, name, **attrs)
+            seed = job.stream.meta.get("seed")
+            if name != "builder.progress" or seed not in self.reached:
+                return
+            if not self.reached[seed].is_set():
+                self.reached[seed].set()
+                self.release[seed].wait(10.0)
+
+        monkeypatch.setattr(Job, "record", record)
+
+    def release_all(self):
+        for event in self.release.values():
+            event.set()
+
+
+@pytest.fixture
+def gates(monkeypatch):
+    made = []
+
+    def make(*seeds):
+        made.append(HeartbeatGates(monkeypatch, *seeds))
+        return made[-1]
+
+    yield make
+    for gate in made:
+        gate.release_all()
+
+
+class TestPerJobObservability:
+    """Every job runs under its own tracer and metrics registry."""
+
+    def submit(self, service, instance, seed):
+        status, job = service.plan(
+            plan_payload(instance, pipeline="GOLCF", seed=seed, mode="async")
         )
-        holding, release = threading.Event(), threading.Event()
-        real_build_pipeline = service_module.build_pipeline
-        held_seed = self.HELD_SEED
+        assert status == 202, job
+        return job["id"]
 
-        class HeldPipeline:
-            """Parks the held job inside its deep-progress window."""
+    def test_two_jobs_in_their_builders_count_their_own_work(
+        self, service, gates
+    ):
+        busy = busy_instance()
+        gate = gates(21, 22)
+        ids = {seed: self.submit(service, busy, seed) for seed in (21, 22)}
+        # Both jobs are inside their builders at once.
+        assert all(gate.reached[seed].wait(10.0) for seed in ids)
+        gate.release_all()
+        total = 0
+        for seed, job_id in ids.items():
+            final = finished(service, job_id)
+            assert final["state"] == "done", final
+            schedule, progress, counters = in_process(busy, "GOLCF", seed)
+            assert final["result"]["schedule"] == schedule_to_dict(schedule)
+            assert progress_of(final) == progress
+            assert len(progress) == 2
+            total += counters["builder.transfers"]
+        assert served_counters(service)["rtsp_builder_transfers"] == total
 
-            def __init__(self, spec):
-                self._inner = real_build_pipeline(spec)
-
-            def run(self, instance, rng=None):
-                if rng == held_seed:
-                    holding.set()
-                    release.wait(10.0)
-                return self._inner.run(instance, rng=rng)
-
-        monkeypatch.setattr(service_module, "build_pipeline", HeldPipeline)
-        try:
-            status, held = service.plan(
-                plan_payload(
-                    small_instance,
-                    pipeline="GOLCF",
-                    seed=held_seed,
-                    mode="async",
-                )
-            )
-            assert status == 202
-            assert holding.wait(10.0)
-            # Cancelling the deep job must not reach the other job,
-            # whose builder runs while the deep job still holds its slot.
-            service.cancel_job(held["id"])
-            status, other = service.plan(
-                plan_payload(busy, pipeline="GOLCF", seed=3)
-            )
-        finally:
-            release.set()
+    def test_cancelling_one_job_does_not_reach_the_other(
+        self, service, gates
+    ):
+        busy = busy_instance()
+        gate = gates(11)
+        held = self.submit(service, busy, 11)
+        assert gate.reached[11].wait(10.0)
+        # Cancel the held job while it sits in its builder, then plan
+        # another request beside it: the cancel must not reach that job,
+        # and neither job's heartbeats may land in the other's stream.
+        service.cancel_job(held)
+        status, other = service.plan(plan_payload(busy, pipeline="GOLCF", seed=3))
+        gate.release_all()
         assert status == 200, other
-        expected = real_build_pipeline("GOLCF").run(busy, rng=3)
+        expected, progress, _ = in_process(busy, "GOLCF", 3)
         assert other["schedule"] == schedule_to_dict(expected)
-        final = wait_terminal(service, held["id"])
+        _, snapshot = service.job(other["job_id"])
+        assert progress_of(snapshot) == progress
+        final = finished(service, held)
         assert final["state"] == "cancelled"
+        assert progress_of(final) == [{"transfers": 256}]
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside"])
+    def test_cancel_lands_at_the_next_heartbeat(self, service, gates, beside):
+        busy = busy_instance()
+        gate = gates(31, 32)
+        if beside:
+            other = self.submit(service, busy, 32)
+            assert gate.reached[32].wait(10.0)
+        job_id = self.submit(service, busy, 31)
+        assert gate.reached[31].wait(10.0)
+        service.cancel_job(job_id)
+        gate.release[31].set()
+        final = finished(service, job_id)
+        assert final["state"] == "cancelled"
+        # The job parked in its first heartbeat; the checkpoint right
+        # after it raises, so the build stops at 256 of its 600 transfers.
         names = [event["name"] for event in final["events"]]
-        assert "builder.progress" not in names
+        cancel = names.index("job.cancel_requested")
+        assert names[cancel + 1 :] == ["job.cancelled"]
+        assert progress_of(final) == [{"transfers": 256}]
+        transfers = 256
+        if beside:
+            gate.release[32].set()
+            final = finished(service, other)
+            assert final["state"] == "done", final
+            expected, _, counters = in_process(busy, "GOLCF", 32)
+            assert final["result"]["schedule"] == schedule_to_dict(expected)
+            transfers += counters["builder.transfers"]
+        # A cancelled job's registry is merged too.
+        assert served_counters(service)["rtsp_builder_transfers"] == transfers
+
+    def test_faulted_repair_reports_its_rounds(self, service):
+        from repro.io import fault_plan_to_dict
+        from repro.robust import FaultPlan, RepairEngine
+
+        instance = paper_instance(
+            replicas=2, num_servers=20, num_objects=100, rng=0
+        )
+        plan = FaultPlan.generate(instance, rate=0.1, seed=7, horizon=500.0)
+        request = TestRepairEndpoint.repair_payload(instance)
+        request.update(
+            fault_plan=fault_plan_to_dict(plan), pipeline="GOLCF+H1+H2", seed=0
+        )
+        status, payload = service.repair(request)
+        assert status == 200, payload
+        assert payload["rounds"] > 0
+        # Job ids are sequential, so a fresh service's first job is this one.
+        _, snapshot = service.job("job-000001")
+        rounds = [e for e in snapshot["events"] if e["name"] == "repair.round"]
+        assert len(rounds) == payload["rounds"]
+        registry = MetricsRegistry()
+        with observed(Tracer(), registry):
+            RepairEngine("GOLCF+H1+H2").execute(instance, plan, rng=0)
+        expected = {
+            sanitize_metric_name(name, "rtsp"): value
+            for name, value in registry.counter_values().items()
+        }
+        assert expected["rtsp_repair_rounds"] == payload["rounds"]
+        served = {
+            name: value
+            for name, value in served_counters(service).items()
+            if not name.startswith("rtsp_serve_")
+        }
+        assert served == expected
+
+    def test_metrics_scrapes_never_fail_or_go_backwards(self, service, gates):
+        busy = busy_instance()
+        gate = gates(41, 42)
+        ids = [self.submit(service, busy, seed) for seed in (41, 42)]
+        assert all(gate.reached[seed].wait(10.0) for seed in (41, 42))
+        scraped, stop = threading.Event(), threading.Event()
+        problems = []
+
+        def scrape():
+            previous = {}
+            while not stop.is_set():
+                try:
+                    counters = served_counters(service)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    problems.append(repr(exc))
+                    return
+                problems.extend(
+                    f"{name}: {value} -> {counters.get(name)}"
+                    for name, value in previous.items()
+                    if counters.get(name, -1) < value
+                )
+                previous = counters
+                scraped.set()
+
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        try:
+            # Scrape while both jobs sit in their builders, then while
+            # they finish and merge their registries.
+            assert scraped.wait(10.0)
+            gate.release_all()
+            for job_id in ids:
+                assert finished(service, job_id)["state"] == "done"
+        finally:
+            stop.set()
+            scraper.join(10.0)
+        assert not scraper.is_alive()
+        assert problems == []
+        transfers = sum(
+            in_process(busy, "GOLCF", seed)[2]["builder.transfers"]
+            for seed in (41, 42)
+        )
+        assert served_counters(service)["rtsp_builder_transfers"] == transfers
