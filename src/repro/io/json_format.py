@@ -172,6 +172,19 @@ def fault_plan_to_dict(plan: FaultPlan) -> Dict[str, Any]:
     }
 
 
+def _plan_int(value: Any) -> int:
+    """An integer entry; ``int()`` would truncate ``1.7`` and ``True``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _plan_number(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def fault_plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
     """Deserialise (and re-validate) a fault plan."""
     if data.get("format") != FAULT_PLAN_FORMAT:
@@ -181,25 +194,29 @@ def fault_plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
     try:
         return FaultPlan(
             transfer_faults=tuple(
-                TransferFault(int(a)) for a in data["transfer_faults"]
+                TransferFault(_plan_int(a)) for a in data["transfer_faults"]
             ),
             crashes=tuple(
-                ServerCrash(float(t), int(s)) for t, s in data["crashes"]
+                ServerCrash(_plan_number(t), _plan_int(s))
+                for t, s in data["crashes"]
             ),
             slowdowns=tuple(
-                LinkSlowdown(float(t), int(i), int(j), float(f))
+                LinkSlowdown(
+                    _plan_number(t), _plan_int(i), _plan_int(j), _plan_number(f)
+                )
                 for t, i, j, f in data["slowdowns"]
             ),
-            rate=float(data.get("rate", 0.0)),
-            seed=int(data.get("seed", 0)),
-            horizon=float(data.get("horizon", 1.0)),
+            rate=_plan_number(data.get("rate", 0.0)),
+            seed=_plan_int(data.get("seed", 0)),
+            horizon=_plan_number(data.get("horizon", 1.0)),
         )
     except KeyError as missing:
         raise ConfigurationError(
             f"fault-plan JSON missing key {missing}"
         ) from None
     except (TypeError, ValueError) as exc:
-        # A null, a string or a short row where a number belongs.
+        # A null, a string, a bool, a non-integral number where an integer
+        # belongs, or a short row.
         raise ConfigurationError(f"malformed fault-plan entry: {exc}") from exc
     except OverflowError:
         raise ConfigurationError(

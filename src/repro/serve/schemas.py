@@ -507,6 +507,7 @@ _RESPONSE_REQUIRED: Dict[str, frozenset] = {
     REPAIR_RESPONSE_FORMAT: frozenset(
         {
             "format",
+            "job_id",
             "completed",
             "rounds",
             "replans",

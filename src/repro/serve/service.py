@@ -514,6 +514,7 @@ class PlanningService:
         )
         return {
             "format": REPAIR_RESPONSE_FORMAT,
+            "job_id": ctx.job.id,
             "completed": report.completed,
             "rounds": report.rounds,
             "replans": report.replans,

@@ -3,7 +3,9 @@
 A valid sequential schedule implies a partial order: many actions can run
 concurrently without violating any precondition. :func:`build_dependency_dag`
 extracts a *conservative* DAG — every topological execution order of it is
-a valid sequential schedule — with these edges (positions ``p < q``):
+a valid sequential schedule — as successor lists indexed by schedule
+position. Every edge ``p -> q`` has ``p < q``, so the positions are
+already a topological order. The edges:
 
 * **source availability** — a transfer depends on the earlier transfer
   that created its source replica (if the source did not hold the object
@@ -11,23 +13,24 @@ a valid sequential schedule — with these edges (positions ``p < q``):
 * **source liveness** — a deletion ``D(j,k)`` depends on every earlier
   transfer sourced from ``(j,k)`` (the replica must outlive its reads)
   and on the transfer that created ``(j,k)`` if any;
-* **space accounting** — a transfer into server ``i`` depends on every
-  earlier deletion at ``i`` and every earlier transfer into ``i`` (the
-  sequential prefix's space budget at ``i`` is what made it valid);
-* **replay-order ties** — a deletion of ``(i,k)`` depends on earlier
-  transfers into ``(i,k)`` and a transfer into ``(i,k)`` depends on
-  earlier deletions of ``(i,k)`` (create/delete alternation per cell).
+* **space accounting** — a transfer into server ``i`` depends on the
+  last earlier transfer into ``i`` and on every deletion at ``i`` since
+  that transfer (all deletions at ``i`` if there was none).
 
-Space edges are conservative (they serialise same-target transfers'
-*admission*, not their network time), which is exactly the property that
-makes every linearisation valid without re-checking capacities.
+An edge from *every* earlier space event at ``i`` adds no reachability:
+the last transfer into ``i`` reaches, by induction, every space event at
+``i`` before it. Nor does create/delete alternation need an edge: the
+last deletion of ``(i,k)`` is a space event at ``i``, so it reaches any
+later transfer into ``(i,k)``. An action is ready once its predecessors
+finished, and every dropped predecessor finishes before a kept one can
+start, so the event loop and critical path are unchanged. Space edges
+serialise same-target *admission*, not network time, which is what makes
+every linearisation valid without re-checking capacities.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
 
 from repro.model.actions import Action, Delete, Transfer
 from repro.model.instance import RtspInstance
@@ -35,15 +38,13 @@ from repro.model.instance import RtspInstance
 
 def build_dependency_dag(
     actions: Sequence[Action], instance: RtspInstance
-) -> nx.DiGraph:
-    """Build the conservative dependency DAG (nodes are positions)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(actions)))
-
+) -> List[List[int]]:
+    """Build the conservative dependency DAG as successor lists."""
+    succ: List[List[int]] = [[] for _ in actions]
     last_creation: Dict[Tuple[int, int], int] = {}  # (server, obj) -> pos
-    last_deletion: Dict[Tuple[int, int], int] = {}
     readers: Dict[Tuple[int, int], List[int]] = {}  # transfers reading a cell
-    server_space_events: Dict[int, List[int]] = {}  # deletions/arrivals per server
+    last_arrival: Dict[int, int] = {}  # server -> last transfer into it
+    deletions_since: Dict[int, List[int]] = {}  # server -> since that arrival
 
     for pos, action in enumerate(actions):
         if isinstance(action, Transfer):
@@ -52,44 +53,40 @@ def build_dependency_dag(
             if j != instance.dummy:
                 created = last_creation.get((j, k))
                 if created is not None:
-                    g.add_edge(created, pos)
+                    succ[created].append(pos)
                 readers.setdefault((j, k), []).append(pos)
             # space accounting at the target
-            for prior in server_space_events.get(i, ()):
-                g.add_edge(prior, pos)
-            # create/delete alternation on the target cell
-            deleted = last_deletion.get((i, k))
-            if deleted is not None:
-                g.add_edge(deleted, pos)
+            arrived = last_arrival.get(i)
+            if arrived is not None:
+                succ[arrived].append(pos)
+            for prior in deletions_since.pop(i, ()):
+                succ[prior].append(pos)
             last_creation[(i, k)] = pos
-            server_space_events.setdefault(i, []).append(pos)
+            last_arrival[i] = pos
         elif isinstance(action, Delete):
             i, k = action.server, action.obj
             created = last_creation.get((i, k))
             if created is not None:
-                g.add_edge(created, pos)
-            for reader in readers.get((i, k), ()):
-                g.add_edge(reader, pos)
-            readers[(i, k)] = []
-            last_deletion[(i, k)] = pos
-            server_space_events.setdefault(i, []).append(pos)
-    return g
+                succ[created].append(pos)
+            for reader in readers.pop((i, k), ()):
+                succ[reader].append(pos)
+            deletions_since.setdefault(i, []).append(pos)
+    return succ
 
 
 def critical_path_length(
-    dag: nx.DiGraph, durations: Sequence[float]
+    dag: Sequence[Sequence[int]], durations: Sequence[float]
 ) -> float:
     """Longest duration-weighted path through the DAG.
 
     A lower bound on any execution's makespan, regardless of how many
     transfers can run concurrently.
     """
-    longest = {node: 0.0 for node in dag.nodes}
-    for node in nx.topological_sort(dag):
-        finish = longest[node] + float(durations[node])
-        for succ in dag.successors(node):
+    longest = [0.0] * len(dag)
+    for pos, successors in enumerate(dag):
+        finish = longest[pos] + float(durations[pos])
+        longest[pos] = finish
+        for succ in successors:
             if finish > longest[succ]:
                 longest[succ] = finish
-    if not longest:
-        return 0.0
-    return max(longest[node] + float(durations[node]) for node in dag.nodes)
+    return max(longest, default=0.0)

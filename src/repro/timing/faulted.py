@@ -31,7 +31,6 @@ import heapq
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.model.actions import Action, Transfer
@@ -203,7 +202,7 @@ def simulate_with_faults(
 
 def _event_loop(
     actions: Sequence[Action],
-    dag: nx.DiGraph,
+    dag: Sequence[Sequence[int]],
     durations: Sequence[float],
     instance: RtspInstance,
     state: SystemState,
@@ -215,7 +214,7 @@ def _event_loop(
     start_time: float = 0.0,
     attempt_offset: int = 0,
 ) -> FaultedResult:
-    """List-schedule ``dag`` (nodes are positions in ``actions``).
+    """List-schedule ``dag`` (successor lists by position in ``actions``).
 
     Ready actions start as soon as their dependencies finished and both
     endpoints have a free slot (the dummy server is unconstrained — an
@@ -240,7 +239,10 @@ def _event_loop(
             registry.counter(name).value += 1
 
     n = len(actions)
-    indegree = {node: dag.in_degree(node) for node in range(n)}
+    indegree = [0] * n
+    for successors in dag:
+        for succ in successors:
+            indegree[succ] += 1
     ready = [node for node in range(n) if indegree[node] == 0]
     heapq.heapify(ready)
 
@@ -382,7 +384,7 @@ def _event_loop(
                 )
         state.apply(action, position=pos)
         trace.append(FaultedAction(pos, action, starts[pos], now, STATUS_OK))
-        for succ in dag.successors(pos):
+        for succ in dag[pos]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 heapq.heappush(ready, succ)

@@ -241,6 +241,34 @@ class TestFaultPlanRoundTrip:
             with pytest.raises(ConfigurationError, match="finite"):
                 fault_plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("transfer_faults", [1.7, True]),
+            ("transfer_faults", [2.0]),
+            ("crashes", [[0.0, 2.9]]),
+            ("crashes", [[0.0, True]]),
+            ("crashes", [[True, 0]]),
+            ("slowdowns", [[0.0, 1.5, 0, 2.0]]),
+            ("slowdowns", [[0.0, 1, 2.5, 2.0]]),
+            ("slowdowns", [[0.0, 1, 0, True]]),
+            ("seed", 2.5),
+            ("seed", True),
+            ("rate", True),
+            ("horizon", False),
+        ],
+    )
+    def test_rejects_non_integral_and_boolean_numbers(self, tmp_path, key, value):
+        # int() and float() would silently truncate these.
+        data = fault_plan_to_dict(self.plan())
+        data[key] = value
+        with pytest.raises(ConfigurationError, match="malformed"):
+            fault_plan_from_dict(data)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="malformed"):
+            load_fault_plan(path)
+
 
 class TestFailureTraceRoundTrip:
     @pytest.fixture(scope="class")

@@ -466,6 +466,12 @@ class TestRepairEndpoint:
             ([["soon", 1]], []),
             ([], [[0.0, 1, 2]]),
             ([], 5),
+            # int() would truncate these to a crash on server 2, a slowdown
+            # into server 1 and a factor of 1.
+            ([[0.0, 2.9]], []),
+            ([[0.0, True]], []),
+            ([], [[0.0, 1.5, 0, 2.0]]),
+            ([], [[0.0, 1, 0, True]]),
         ],
     )
     def test_malformed_fault_entries_400(
@@ -477,6 +483,26 @@ class TestRepairEndpoint:
         assert status == 400, payload
         assert payload["error"] == "bad-request"
         assert "malformed" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("transfer_faults", [1.7, True]),
+            ("seed", 2.5),
+            ("seed", True),
+            ("horizon", True),
+        ],
+    )
+    def test_malformed_fault_plan_fields_400(
+        self, service, small_instance, key, value
+    ):
+        request = self.repair_payload(small_instance)
+        request["fault_plan"][key] = value
+        status, payload = service.repair(request)
+        assert status == 400, payload
+        assert payload["error"] == "bad-request"
+        assert "malformed" in payload["message"]
+        assert service.queue.counts() == {}  # rejected before queueing
 
     def test_fault_plan_slowdown_from_the_dummy_accepted(
         self, service, small_instance
@@ -739,8 +765,7 @@ class TestPerJobObservability:
         status, payload = service.repair(request)
         assert status == 200, payload
         assert payload["rounds"] > 0
-        # Job ids are sequential, so a fresh service's first job is this one.
-        _, snapshot = service.job("job-000001")
+        _, snapshot = service.job(payload["job_id"])
         rounds = [e for e in snapshot["events"] if e["name"] == "repair.round"]
         assert len(rounds) == payload["rounds"]
         registry = MetricsRegistry()
