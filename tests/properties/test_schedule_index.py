@@ -115,13 +115,6 @@ def _blocking_transfer(actions, window_start, del_pos) -> Optional[int]:
     return None
 
 
-def _next_transfer(actions, obj, pos) -> Optional[int]:
-    for x in range(pos + 1, len(actions)):
-        if isinstance(actions[x], Transfer) and actions[x].obj == obj:
-            return x
-    return None
-
-
 def _assert_index_matches_list(index: ScheduleIndex, inst) -> None:
     fresh = ScheduleIndex(index.origin, index.actions)
     actions = index.actions
@@ -273,7 +266,6 @@ def test_queries_match_linear_scans(inst, builder, seed):
             assert index.deletions_before(pos, k) == _deletions_before(
                 actions, pos, k
             )
-            assert index.next_transfer(k, pos) == _next_transfer(actions, k, pos)
         if pos < n:
             state.apply(actions[pos])
     for lo in range(-1, n):
