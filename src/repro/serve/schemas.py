@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import orjson
@@ -200,6 +200,13 @@ class PlacementDelta:
     capacities: List[float]
     x_old: List[List[int]]
     x_new: List[List[int]]
+    #: ``x_old`` and ``x_new`` one ``bytes`` per row, as
+    #: :func:`decode_binary_rows` packed them for :meth:`from_dict`, so
+    #: :meth:`realize` does not pack the rows again; ``None`` for a
+    #: delta built from its fields.
+    _packed: Optional[Tuple[List[bytes], List[bytes]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     _KEYS = frozenset({"topology", "sizes", "capacities", "x_old", "x_new"})
 
@@ -214,12 +221,19 @@ class PlacementDelta:
         capacities = decode_number_list(
             data.get("capacities"), "delta.capacities", SchemaError
         )
+        x_old, old_packed = decode_binary_rows(
+            data.get("x_old"), "delta.x_old", SchemaError
+        )
+        x_new, new_packed = decode_binary_rows(
+            data.get("x_new"), "delta.x_new", SchemaError
+        )
         return cls(
             topology=topology,
             sizes=sizes,
             capacities=capacities,
-            x_old=decode_binary_rows(data.get("x_old"), "delta.x_old", SchemaError)[0],
-            x_new=decode_binary_rows(data.get("x_new"), "delta.x_new", SchemaError)[0],
+            x_old=x_old,
+            x_new=x_new,
+            _packed=(old_packed, new_packed),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -233,13 +247,14 @@ class PlacementDelta:
 
     def realize(self, costs: np.ndarray) -> RtspInstance:
         """Build (and fully re-validate) the instance against ``costs``."""
+        x_old, x_new = self._packed or (self.x_old, self.x_new)
         try:
             return RtspInstance.create(
                 sizes=np.asarray(self.sizes, dtype=np.float64),
                 capacities=np.asarray(self.capacities, dtype=np.float64),
                 costs=np.asarray(costs, dtype=np.float64),
-                x_old=binary_rows_matrix(self.x_old),
-                x_new=binary_rows_matrix(self.x_new),
+                x_old=binary_rows_matrix(x_old),
+                x_new=binary_rows_matrix(x_new),
             )
         except ConfigurationError:
             raise

@@ -6,7 +6,10 @@ routing to the transport-independent service. Bodies are parsed with
 a body that is not UTF-8, or that holds ``NaN``, ``Infinity`` or a
 number that overflows a double, is a ``400 bad-json``. ``/v1/plan``
 goes through :meth:`PlanningService.plan_body`, so a sync plan-cache
-hit is written as the cache's stored bytes.
+hit is written as the cache's stored bytes. Before a ``/v1/plan`` body
+is parsed, its sha256 is looked up with
+:meth:`PlanningService.plan_digest_hit`: the same bytes as a sync
+request answered 200 before get that plan's hit without being parsed.
 
 Routes::
 
@@ -26,7 +29,9 @@ workers) can pipeline requests over one socket.
 
 from __future__ import annotations
 
+import hashlib
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -86,9 +91,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, code: str, message: str) -> None:
         self._send_json(status, error_payload(status, code, message))
 
-    def _read_json(self) -> Optional[Any]:
-        """The request body as parsed JSON, or ``None`` after an error
-        response has already been sent."""
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` after an error response has
+        already been sent."""
         length_header = self.headers.get("Content-Length")
         if length_header is None:
             self._send_error_json(411, "length-required",
@@ -108,7 +113,11 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{self.service.config.max_body_bytes}-byte limit",
             )
             return None
-        raw = self.rfile.read(length)
+        return self.rfile.read(length)
+
+    def _parse_json(self, raw: bytes) -> Optional[Any]:
+        """``raw`` as parsed JSON, or ``None`` after an error response
+        has already been sent."""
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError as exc:
@@ -172,12 +181,24 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_json(404, "not-found",
                                       f"no route for POST {path}")
             return
-        data = self._read_json()
+        raw = self._read_body()
+        if raw is None:
+            return
+        digest = None
+        if path == "/v1/plan":
+            started = time.perf_counter()
+            digest = hashlib.sha256(raw).digest()
+            hit = self.service.plan_digest_hit(digest, started)
+            if hit is not None:
+                self._send_body(*hit)
+                return
+        data = self._parse_json(raw)
+        del raw  # not held while the request is planned
         if data is None:
             return
         if path == "/v1/plan":
             # A sync plan-cache hit is written as its stored bytes.
-            self._send_body(*self.service.plan_body(data))
+            self._send_body(*self.service.plan_body(data, digest))
         elif handler is not None:
             self._send_json(*handler(data))
 

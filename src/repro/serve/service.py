@@ -221,17 +221,47 @@ class PlanningService:
         status, reply = self._plan(data)
         return status, _as_payload(reply)
 
-    def plan_body(self, data: Any) -> Tuple[int, bytes]:
+    def plan_body(
+        self, data: Any, digest: Optional[bytes] = None
+    ) -> Tuple[int, bytes]:
         """:meth:`plan` with the response as its HTTP body.
 
         A sync plan-cache hit is the stored body from
         :meth:`PlanCache.hit_body`, neither parsed nor re-encoded. Every
         other response is :func:`wire_json` of what :meth:`plan` returns.
+        ``digest`` is the sha256 of the body ``data`` was parsed from: a
+        single sync request answered 200 is remembered under it for
+        :meth:`plan_digest_hit`.
         """
-        status, reply = self._plan(data)
+        status, reply = self._plan(data, digest)
         return status, reply if isinstance(reply, bytes) else wire_json(reply)
 
-    def _plan(self, data: Any) -> Tuple[int, _Reply]:
+    def plan_digest_hit(
+        self, digest: bytes, started: float
+    ) -> Optional[Tuple[int, bytes]]:
+        """The plan-cache hit for a request body with sha256 ``digest``,
+        or ``None`` (counting nothing) if the body must be parsed.
+
+        A body :meth:`plan_body` answered 200 parses to the same plan key
+        again, so while that plan and its topology stay cached, the
+        reply is :meth:`PlanCache.hit_body`'s, counted as the parsed
+        body's hit would be, plus ``serve.cache.plan.body_hits``. Its
+        ``elapsed_seconds`` runs from ``started``, a
+        ``time.perf_counter()`` reading.
+        """
+        elapsed = time.perf_counter() - started
+        body = self.plan_cache.hit_digest(digest, elapsed, self.topologies)
+        if body is None:
+            return None
+        self._count("serve.requests.plan")
+        self._count("serve.cache.plan.hits")
+        self._count("serve.cache.plan.body_hits")
+        self._observe_ms("serve.plan.millis", elapsed)
+        return 200, body
+
+    def _plan(
+        self, data: Any, digest: Optional[bytes] = None
+    ) -> Tuple[int, _Reply]:
         self._count("serve.requests.plan")
         try:
             if (
@@ -240,7 +270,7 @@ class PlanningService:
             ):
                 return self._plan_batch(data)
             request = plan_request_from_dict(data)
-            return self._plan_one(request)
+            return self._plan_one(request, digest)
         except BaseException as exc:  # noqa: BLE001 - mapped to a status
             return self._error(exc)
 
@@ -262,9 +292,12 @@ class PlanningService:
         status = 200 if worst < 300 else 207
         return status, {"format": BATCH_RESPONSE_FORMAT, "responses": responses}
 
-    def _plan_one(self, request: PlanRequest) -> Tuple[int, _Reply]:
+    def _plan_one(
+        self, request: PlanRequest, digest: Optional[bytes] = None
+    ) -> Tuple[int, _Reply]:
         """Plan one request; a sync cache hit comes back as its wire
-        body, and every other reply as a dict."""
+        body, and every other reply as a dict. A 200 remembers
+        ``digest``, the sha256 of the request's body, for its plan."""
         started = time.perf_counter()
         instance, topo_key = self._resolve_instance(request)
         fingerprint = instance_fingerprint(instance)
@@ -273,10 +306,18 @@ class PlanningService:
         )
         # Fail fast on a bad pipeline spec (400) before queueing work.
         build_pipeline(request.pipeline)
+
+        def planned(reply: _Reply) -> Tuple[int, _Reply]:
+            if digest is not None:
+                self.plan_cache.add_body(
+                    digest, key, topo_key, request.delta is not None
+                )
+            return 200, reply
+
         if request.mode == "sync":
             cached = self._cache_lookup(key, started)
             if cached is not None:
-                return 200, cached
+                return planned(cached)
         timeout = (
             request.timeout_seconds
             if request.timeout_seconds is not None
@@ -298,7 +339,7 @@ class PlanningService:
             self._observe_ms(
                 "serve.plan.millis", time.perf_counter() - started
             )
-            return 200, job.result
+            return planned(job.result)
         assert job.error is not None
         return self._error(job.error)
 

@@ -144,7 +144,13 @@ class TestPlanCacheHit:
         import repro.serve.service
         import repro.serve.server
 
-        data = json.dumps(plan_body(small_instance, seed=6)).encode()
+        payload = plan_body(small_instance, seed=6)
+        data = json.dumps(payload).encode()
+        # The same request with other whitespace and key order.
+        respelled = json.dumps(
+            dict(reversed(payload.items())), indent=1
+        ).encode()
+        assert respelled != data and json.loads(respelled) == payload
         assert post_raw(server, data)[0] == 200
         calls = {"loads": 0, "wire_json": 0}
 
@@ -165,14 +171,21 @@ class TestPlanCacheHit:
             monkeypatch.setattr(
                 module, "wire_json", counted("wire_json", module.wire_json)
             )
-        status, body = post_raw(server, data)
-        assert status == 200
-        assert calls == {"loads": 1, "wire_json": 0}
+        replies = []
+        for body, parsed in ((data, 0), (respelled, 1)):
+            calls.update(loads=0, wire_json=0)
+            status, reply = post_raw(server, body)
+            assert status == 200
+            # A byte-identical repeat is found by its digest, unparsed; a
+            # respelled one by its parse and the instance fingerprint.
+            assert calls == {"loads": parsed, "wire_json": 0}
+            replies.append(reply)
         monkeypatch.undo()
-        assert orjson.loads(body)["cache_hit"] is True
+        assert all(orjson.loads(reply)["cache_hit"] is True for reply in replies)
         counters = server.service.metrics.counter_values()
         # The miss looked the key up twice: before queueing and in the job.
-        assert counters["serve.cache.plan.hits"] == 1
+        assert counters["serve.cache.plan.hits"] == 2
+        assert counters["serve.cache.plan.body_hits"] == 1
         assert counters["serve.cache.plan.misses"] == 2
 
 

@@ -276,6 +276,34 @@ class TestPlanRequest:
         assert (instance.x_old == small_instance.x_old).all()
         assert (instance.x_new == small_instance.x_new).all()
 
+    @pytest.mark.parametrize("cell", [int, float], ids=["ints", "integral-floats"])
+    def test_decoded_delta_realizes_as_its_fields_do(self, small_instance, cell):
+        # Exact ints take the decoder's fast path, 0.0 and 1.0 its slow
+        # one; both realize from the rows packed while decoding.
+        from repro.serve.cache import instance_fingerprint
+
+        fields = {
+            "topology": "sha256:abc",
+            "sizes": small_instance.sizes.tolist(),
+            "capacities": small_instance.capacities.tolist(),
+            "x_old": small_instance.x_old.tolist(),
+            "x_new": small_instance.x_new.tolist(),
+        }
+        wire = dict(fields)
+        for name in ("x_old", "x_new"):
+            wire[name] = [list(map(cell, row)) for row in fields[name]]
+        decoded = PlacementDelta.from_dict(wire)
+        assert decoded == PlacementDelta(**fields)
+        assert decoded.to_dict() == fields
+        got = decoded.realize(small_instance.costs)
+        want = PlacementDelta(**fields).realize(small_instance.costs)
+        for name in ("sizes", "capacities", "costs", "x_old", "x_new"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert instance_fingerprint(got) == instance_fingerprint(want)
+        assert instance_fingerprint(got) == instance_fingerprint(small_instance)
+
 
 class TestBatchRequest:
     def test_round_trip(self, small_instance):
