@@ -179,3 +179,93 @@ class TestPlanCache:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
+
+
+def _plan(seed):
+    return {"cache_hit": False, "elapsed_seconds": 0.25, "seed": seed}
+
+
+class TestBodyDigests:
+    def test_a_digest_hit_is_hit_body(self, small_instance):
+        cache = PlanCache()
+        with TopologyStore() as topologies:
+            topology, _ = topologies.register(small_instance.costs)
+            key = PlanCache.key("f", "GOLCF", 0, None)
+            cache.add_body(b"d", key, topology, False)  # no plan yet
+            assert cache.hit_digest(b"d", 0.5, topologies) is None
+            cache.put(key, _plan(0))
+            cache.add_body(b"d", key, topology, False)
+            cache.add_body(b"e", key, topology, True)
+            assert cache.stats() == {"entries": 1, "hits": 0, "misses": 0}
+            assert cache.hit_digest(b"d", 0.5, topologies) == cache.hit_body(
+                key, 0.5
+            )
+            assert cache.stats()["hits"] == 2
+            assert topologies.stats()["hits"] == 0  # a full instance's touch
+            assert cache.hit_digest(b"e", 0.5, topologies) is not None
+            assert topologies.stats()["hits"] == 1  # a delta's lookup
+
+    def test_a_fall_through_counts_nothing(self, small_instance):
+        cache = PlanCache(max_entries=1)
+        with TopologyStore() as topologies:
+            topology, _ = topologies.register(small_instance.costs)
+            first = PlanCache.key("f", "GOLCF", 0, None)
+            cache.put(first, _plan(0))
+            cache.add_body(b"d", first, topology, True)
+            cache.add_body(b"gone", first, "sha256:elsewhere", True)
+            assert cache.hit_digest(b"unknown", 0.5, topologies) is None
+            assert cache.hit_digest(b"gone", 0.5, topologies) is None
+            cache.put(PlanCache.key("f", "GOLCF", 1, None), _plan(1))
+            assert cache.hit_digest(b"d", 0.5, topologies) is None
+            assert cache.stats() == {"entries": 1, "hits": 0, "misses": 0}
+            assert topologies.stats()["hits"] == 0
+            assert topologies.stats()["misses"] == 0
+            assert cache._bodies == {}
+
+    def test_concurrent_hits_lose_no_count(self, small_instance):
+        import random
+        import sys
+        import threading
+
+        cache = PlanCache(max_entries=4)
+        with TopologyStore() as topologies:
+            topology, _ = topologies.register(small_instance.costs)
+            hits = [0] * 6
+            stop = threading.Event()
+
+            def churn(worker):
+                # Six plans and their bodies through four slots: hits,
+                # plan evictions and body evictions all race.
+                draw = random.Random(worker)
+                while not stop.is_set():
+                    seed = draw.randrange(6)
+                    key = PlanCache.key("f", "GOLCF", seed, None)
+                    digest = bytes([seed])
+                    if cache.hit_digest(digest, 0.0, topologies) is not None:
+                        hits[worker] += 1
+                    else:
+                        cache.put(key, _plan(seed))
+                        cache.add_body(digest, key, topology, True)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=churn, args=(w,)) for w in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                stop.wait(0.5)
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sum(hits) > 0
+            assert cache.hits == sum(hits)
+            assert topologies.stats()["hits"] == sum(hits)
+            assert len(cache._bodies) <= 4
+            # Every remembered body still has its plan.
+            keys = [body[0] for body in cache._bodies.values()]
+            assert all(key in cache._entries for key in keys)
